@@ -39,6 +39,7 @@ from .generator import GeneratorParams, random_fault_tree
 from .oracle import CutSet, enumerate_mcs, oracle_mpmcs
 from .solver import (
     MpmcsResult,
+    OptimaTimeoutError,
     SearchStats,
     Solution,
     SolverConfig,
@@ -69,6 +70,7 @@ __all__ = [
     "GateOp",
     "GeneratorParams",
     "MpmcsResult",
+    "OptimaTimeoutError",
     "Or",
     "SearchStats",
     "Solution",

@@ -18,14 +18,14 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .encoding import build_wcnf, event_weights, format_wcnf
+from .encoding import WcnfInstance, build_wcnf, event_weights, format_wcnf
 from .fault_tree import FaultTree, FaultTreeError, parse_fault_tree, serialize_fault_tree
 from .generator import GeneratorParams, random_fault_tree
 from .oracle import MAX_ORACLE_EVENTS, oracle_mpmcs
 from .solver import (
     GRACE_PERIOD,
     MpmcsResult,
-    Solution,
+    OptimaTimeoutError,
     SolverConfig,
     Strategy,
     VarOrder,
@@ -86,26 +86,26 @@ def _configs_for(strategy: str, workers: int, timeout: float) -> list[SolverConf
 
 def _report(
     tree: FaultTree,
-    solution: Solution,
+    instance: WcnfInstance,
     result: Optional[MpmcsResult],
-    hard_clauses: int,
-    num_vars: int,
+    proven: bool,
+    solver_id: str,
+    elapsed: float,
 ) -> dict:
-    report = {
+    return {
         "cut_set": sorted(result.cut_set) if result is not None else None,
         "log_weight": result.log_weight if result is not None else None,
         "probability": result.probability if result is not None else None,
-        "proven": solution.proven,
-        "solver_id": solution.solver_id,
-        "elapsed_ms": solution.stats.elapsed * 1000.0,
+        "proven": proven,
+        "solver_id": solver_id,
+        "elapsed_ms": elapsed * 1000.0,
         "stats": {
             "events": len(tree.event_ids),
             "gates": len(tree.gate_ids),
-            "vars": num_vars,
-            "hard_clauses": hard_clauses,
+            "vars": instance.hard.num_vars,
+            "hard_clauses": len(instance.hard.clauses),
         },
     }
-    return report
 
 
 def _cmd_solve(args) -> int:
@@ -115,42 +115,37 @@ def _cmd_solve(args) -> int:
     configs = _configs_for(args.strategy, args.workers, args.timeout)
 
     if args.all_optima:
-        optima = enumerate_optima(instance, weights, configs, grace=GRACE_PERIOD)
+        proven = True
+        try:
+            optima = enumerate_optima(instance, weights, configs, grace=GRACE_PERIOD)
+        except OptimaTimeoutError as exc:
+            optima, proven = exc.optima, False
         if not optima:
             print("error: no optimum proven within budget", file=sys.stderr)
             return EXIT_BUDGET
         first = optima[0]
-        report = {
-            "cut_set": sorted(first.cut_set),
-            "log_weight": first.log_weight,
-            "probability": first.probability,
-            "proven": True,
-            "solver_id": first.solver_id,
-            "elapsed_ms": sum(r.elapsed for r in optima) * 1000.0,
-            "stats": {
-                "events": len(tree.event_ids),
-                "gates": len(tree.gate_ids),
-                "vars": instance.hard.num_vars,
-                "hard_clauses": len(instance.hard.clauses),
-            },
-            "optima": [
-                {
-                    "cut_set": sorted(r.cut_set),
-                    "log_weight": r.log_weight,
-                    "probability": r.probability,
-                }
-                for r in optima
-            ],
-        }
+        report = _report(
+            tree, instance, first, proven, first.solver_id,
+            sum(r.elapsed for r in optima),
+        )
+        report["optima"] = [
+            {
+                "cut_set": sorted(r.cut_set),
+                "log_weight": r.log_weight,
+                "probability": r.probability,
+            }
+            for r in optima
+        ]
         print(json.dumps(report, indent=2))
-        return EXIT_OK
+        return EXIT_OK if proven else EXIT_BUDGET
 
     solution = solve_portfolio(instance, configs, GRACE_PERIOD)
     result = None
     if solution.assignment is not None:
         result = extract_mpmcs(solution, instance, weights)
     report = _report(
-        tree, solution, result, len(instance.hard.clauses), instance.hard.num_vars
+        tree, instance, result, solution.proven, solution.solver_id,
+        solution.stats.elapsed,
     )
     print(json.dumps(report, indent=2))
     return EXIT_OK if solution.proven else EXIT_BUDGET

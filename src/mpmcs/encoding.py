@@ -18,17 +18,17 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .fault_tree import (
-    And,
     BooleanFormula,
     FaultTree,
-    Gate,
-    Var,
+    _post_order,
     formula_events,
     to_formula,
 )
 
 Literal = int
 Clause = tuple[Literal, ...]
+# One (is_and, child variables) pair per gate, in gate-variable order.
+Circuit = tuple[tuple[bool, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -72,17 +72,20 @@ class WcnfInstance:
     soft clause prefers the event variable false, so the weight is paid
     exactly when the event takes part in the failure.
 
-    ``formula`` is the failure formula the hard clauses were compiled
-    from; ``gate_var_of`` maps formula-node identity to its auxiliary
-    variable and ``tree_shaped`` records whether any node is shared
-    (both are used by solver-side bounds and consistency checks).
+    ``circuit`` is the failure formula compiled to variables: entry ``i``
+    is ``(is_and, child_vars)`` for gate variable ``E + 1 + i``, where
+    ``E`` is the number of events (variables ``1..E``).  Every child
+    variable is smaller than its gate's, so one forward pass over the
+    circuit values children before parents; the root is
+    ``var_map.root_var`` (an event variable when the top is an event).
+    ``tree_shaped`` records that no variable is a child twice, i.e. no
+    node is shared.
     """
 
     hard: CnfFormula
     soft: tuple[tuple[int, float], ...]
     var_map: VarMap
-    formula: BooleanFormula
-    gate_var_of: dict[int, int]
+    circuit: Circuit
     tree_shaped: bool
 
     def soft_weight_of_var(self) -> dict[int, float]:
@@ -127,38 +130,16 @@ def tseitin(formula: BooleanFormula) -> tuple[CnfFormula, VarMap]:
     return cnf, var_map
 
 
-def _tseitin_full(
-    formula: BooleanFormula,
-) -> tuple[CnfFormula, VarMap, dict[int, int]]:
+def _tseitin_full(formula: BooleanFormula) -> tuple[CnfFormula, VarMap, Circuit]:
     events = formula_events(formula)
     var_of_event = {eid: i + 1 for i, eid in enumerate(events)}
-    next_var = len(events) + 1
-
-    lit_of: dict[int, int] = {}
-    gate_var_of: dict[int, int] = {}
+    circuit: list[tuple[bool, tuple[int, ...]]] = []
     clauses: list[Clause] = []
 
-    stack: list[BooleanFormula] = [formula]
-    while stack:
-        node = stack[-1]
-        key = id(node)
-        if key in lit_of:
-            stack.pop()
-            continue
-        if isinstance(node, Var):
-            lit_of[key] = var_of_event[node.event]
-            stack.pop()
-            continue
-        pending = [c for c in node.children if id(c) not in lit_of]
-        if pending:
-            stack.extend(pending)
-            continue
-        g = next_var
-        next_var += 1
-        gate_var_of[key] = g
-        lit_of[key] = g
-        child_lits = [lit_of[id(c)] for c in node.children]
-        if isinstance(node, And):
+    def gate(is_and: bool, child_lits: list[int]) -> int:
+        circuit.append((is_and, tuple(child_lits)))
+        g = len(events) + len(circuit)
+        if is_and:
             for c in child_lits:
                 clauses.append((-g, c))
             clauses.append(tuple(-c for c in child_lits) + (g,))
@@ -166,19 +147,20 @@ def _tseitin_full(
             clauses.append((-g,) + tuple(child_lits))
             for c in child_lits:
                 clauses.append((-c, g))
-        stack.pop()
+        return g
 
-    root_var = lit_of[id(formula)]
+    root_var = _post_order(formula, lambda var: var_of_event[var.event], gate)
     clauses.append((root_var,))
 
+    num_vars = len(events) + len(circuit)
     var_map = VarMap(
         var_of_event=var_of_event,
         event_of_var={v: e for e, v in var_of_event.items()},
-        aux_vars=frozenset(gate_var_of.values()),
+        aux_vars=frozenset(range(len(events) + 1, num_vars + 1)),
         root_var=root_var,
     )
-    cnf = CnfFormula(num_vars=next_var - 1, clauses=tuple(clauses))
-    return cnf, var_map, gate_var_of
+    cnf = CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
+    return cnf, var_map, tuple(circuit)
 
 
 def build_wcnf(tree: FaultTree) -> WcnfInstance:
@@ -191,32 +173,19 @@ def build_wcnf(tree: FaultTree) -> WcnfInstance:
     falsified weight therefore maximises the joint probability of the
     events that do occur.
     """
-    formula = to_formula(tree)
-    cnf, var_map, gate_var_of = _tseitin_full(formula)
+    cnf, var_map, circuit = _tseitin_full(to_formula(tree))
     weights = event_weights(tree)
     soft = tuple(
         (var, weights[eid]) for eid, var in var_map.var_of_event.items()
     )
+    children = [c for _, kids in circuit for c in kids]
     return WcnfInstance(
         hard=cnf,
         soft=soft,
         var_map=var_map,
-        formula=formula,
-        gate_var_of=gate_var_of,
-        tree_shaped=_is_tree_shaped(tree),
+        circuit=circuit,
+        tree_shaped=len(children) == len(set(children)),
     )
-
-
-def _is_tree_shaped(tree: FaultTree) -> bool:
-    """True when no node is referenced by more than one parent."""
-    seen: set[str] = set()
-    for node in tree.nodes.values():
-        if isinstance(node, Gate):
-            for child in node.children:
-                if child in seen:
-                    return False
-                seen.add(child)
-    return True
 
 
 WCNF_WEIGHT_SCALE = 10**6

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 
 class FaultTreeError(ValueError):
@@ -281,38 +281,15 @@ def to_formula(tree: FaultTree) -> BooleanFormula:
     return built[tree.top]
 
 
-def dualize(formula: BooleanFormula) -> BooleanFormula:
-    """Swap every And for Or and vice versa, leaving Var leaves as they are.
+def _post_order(formula: BooleanFormula, leaf: Callable, gate: Callable):
+    """Fold ``formula`` bottom-up, each shared node once; return the root's value.
 
-    Applied to the failure formula this yields the success-tree reading in
-    which each leaf stands for the complement of its event; the operation
-    is an involution.
+    ``leaf(var)`` values a ``Var``; ``gate(is_and, child_values)`` values a
+    gate once all its children have values.  Gates are reached in one fixed
+    post-order (children left to right, shared nodes keyed by identity),
+    which the Tseitin numbering relies on.
     """
-    built: dict[int, BooleanFormula] = {}
-    stack = [formula]
-    while stack:
-        node = stack[-1]
-        key = id(node)
-        if key in built:
-            stack.pop()
-            continue
-        if isinstance(node, Var):
-            built[key] = node
-            stack.pop()
-            continue
-        pending = [c for c in node.children if id(c) not in built]
-        if pending:
-            stack.extend(pending)
-            continue
-        parts = tuple(built[id(c)] for c in node.children)
-        built[key] = Or(parts) if isinstance(node, And) else And(parts)
-        stack.pop()
-    return built[id(formula)]
-
-
-def evaluate(formula: BooleanFormula, assignment: Assignment) -> bool:
-    """Standard Boolean semantics; events missing from ``assignment`` are False."""
-    value: dict[int, bool] = {}
+    value: dict[int, object] = {}
     stack = [formula]
     while stack:
         node = stack[-1]
@@ -321,17 +298,40 @@ def evaluate(formula: BooleanFormula, assignment: Assignment) -> bool:
             stack.pop()
             continue
         if isinstance(node, Var):
-            value[key] = bool(assignment.get(node.event, False))
+            value[key] = leaf(node)
             stack.pop()
             continue
         pending = [c for c in node.children if id(c) not in value]
         if pending:
             stack.extend(pending)
             continue
-        parts = (value[id(c)] for c in node.children)
-        value[key] = all(parts) if isinstance(node, And) else any(parts)
+        parts = [value[id(c)] for c in node.children]
+        value[key] = gate(isinstance(node, And), parts)
         stack.pop()
     return value[id(formula)]
+
+
+def dualize(formula: BooleanFormula) -> BooleanFormula:
+    """Swap every And for Or and vice versa, leaving Var leaves as they are.
+
+    Applied to the failure formula this yields the success-tree reading in
+    which each leaf stands for the complement of its event; the operation
+    is an involution.
+    """
+    return _post_order(
+        formula,
+        lambda var: var,
+        lambda is_and, parts: Or(tuple(parts)) if is_and else And(tuple(parts)),
+    )
+
+
+def evaluate(formula: BooleanFormula, assignment: Assignment) -> bool:
+    """Standard Boolean semantics; events missing from ``assignment`` are False."""
+    return _post_order(
+        formula,
+        lambda var: bool(assignment.get(var.event, False)),
+        lambda is_and, parts: all(parts) if is_and else any(parts),
+    )
 
 
 def formula_events(formula: BooleanFormula) -> list[str]:

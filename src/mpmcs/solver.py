@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import count
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .encoding import (
     CnfFormula,
@@ -38,7 +38,7 @@ from .encoding import (
     event_weights,
     joint_probability,
 )
-from .fault_tree import And, BooleanFormula, FaultTree, Var, evaluate
+from .fault_tree import FaultTree
 
 PRUNE_EPS = 1e-12
 
@@ -53,6 +53,16 @@ class FrontierLimitError(RuntimeError):
 
 class InconsistencyError(RuntimeError):
     """A produced result failed its own consistency checks: solver bug."""
+
+
+class OptimaTimeoutError(TimeoutError):
+    """A re-solve ran out of budget; carries the optima proven before it."""
+
+    def __init__(self, optima: Sequence["MpmcsResult"]):
+        super().__init__(
+            f"budget exhausted after {len(optima)} proven optima; more may exist"
+        )
+        self.optima = list(optima)
 
 
 class PortfolioError(RuntimeError):
@@ -283,14 +293,7 @@ class Propagator:
         self.qhead = len(self.trail)
 
     def all_clauses_satisfied(self) -> bool:
-        val = self.val
-        for clause in self.clauses:
-            for lit in clause:
-                if (val[lit] if lit > 0 else -val[-lit]) == 1:
-                    break
-            else:
-                return False
-        return True
+        return _satisfies(self.clauses, self.val)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +327,9 @@ def _exact_weight(val: Sequence[int], event_vars: list[tuple[int, float]]) -> fl
     return math.fsum(w for var, w in event_vars if val[var] > 0)
 
 
-def _satisfies(cnf: CnfFormula, val: Sequence[int]) -> bool:
-    for clause in cnf.clauses:
+def _satisfies(clauses: Sequence[Sequence[int]], val: Sequence[int]) -> bool:
+    """Whether every clause has a literal that is true under ``val``."""
+    for clause in clauses:
         for lit in clause:
             if (val[lit] if lit > 0 else -val[-lit]) == 1:
                 break
@@ -335,130 +339,82 @@ def _satisfies(cnf: CnfFormula, val: Sequence[int]) -> bool:
 
 
 def complete_assignment(
-    instance: WcnfInstance, true_events: frozenset[str]
+    instance: WcnfInstance, true_events: Iterable[str]
 ) -> tuple[int, ...]:
     """Model with exactly ``true_events`` true and every gate evaluated."""
-    vm = instance.var_map
-    val = [0] * (instance.hard.num_vars + 1)
-    for eid, var in vm.var_of_event.items():
-        val[var] = 1 if eid in true_events else -1
-    truth: dict[int, bool] = {}
-    stack: list[BooleanFormula] = [instance.formula]
-    while stack:
-        node = stack[-1]
-        key = id(node)
-        if key in truth:
-            stack.pop()
-            continue
-        if isinstance(node, Var):
-            truth[key] = node.event in true_events
-            stack.pop()
-            continue
-        pending = [c for c in node.children if id(c) not in truth]
-        if pending:
-            stack.extend(pending)
-            continue
-        parts = (truth[id(c)] for c in node.children)
-        truth[key] = all(parts) if isinstance(node, And) else any(parts)
-        val[instance.gate_var_of[key]] = 1 if truth[key] else -1
-        stack.pop()
+    var_of_event = instance.var_map.var_of_event
+    val = [-1] * (instance.hard.num_vars + 1)
+    val[0] = 0
+    for eid in true_events:
+        val[var_of_event[eid]] = 1
+    for g, (is_and, kids) in enumerate(instance.circuit, len(var_of_event) + 1):
+        if is_and:
+            true = all(val[c] > 0 for c in kids)
+        else:
+            true = any(val[c] > 0 for c in kids)
+        val[g] = 1 if true else -1
     return tuple(val)
 
 
-def _greedy_tree_events(instance: WcnfInstance) -> frozenset[str]:
+def _greedy_tree_events(
+    instance: WcnfInstance, weight: Sequence[float]
+) -> frozenset[str]:
     """Cheapest event set satisfying the formula, by the obvious tree walk.
 
     Exact on tree-shaped inputs; on shared (DAG) inputs the cost used to
     pick OR branches may double-count shared events, so the result is
-    just a feasible warm start there.
+    just a feasible warm start there.  ``weight`` is indexed by variable.
     """
-    cost: dict[int, float] = {}
-    weight = dict(instance.soft)
-    var_of_event = instance.var_map.var_of_event
-    stack: list[BooleanFormula] = [instance.formula]
-    while stack:
-        node = stack[-1]
-        key = id(node)
-        if key in cost:
-            stack.pop()
-            continue
-        if isinstance(node, Var):
-            cost[key] = weight[var_of_event[node.event]]
-            stack.pop()
-            continue
-        pending = [c for c in node.children if id(c) not in cost]
-        if pending:
-            stack.extend(pending)
-            continue
-        child_costs = [cost[id(c)] for c in node.children]
-        cost[key] = (
-            math.fsum(child_costs) if isinstance(node, And) else min(child_costs)
-        )
-        stack.pop()
+    event_of_var = instance.var_map.event_of_var
+    first_gate = len(event_of_var) + 1
+    cost = list(weight)
+    for g, (is_and, kids) in enumerate(instance.circuit, first_gate):
+        child_costs = [cost[c] for c in kids]
+        cost[g] = math.fsum(child_costs) if is_and else min(child_costs)
 
     chosen: set[str] = set()
     seen: set[int] = set()
-    walk: list[BooleanFormula] = [instance.formula]
+    walk = [instance.var_map.root_var]
     while walk:
-        node = walk.pop()
-        if id(node) in seen:
+        v = walk.pop()
+        if v in seen:
             continue
-        seen.add(id(node))
-        if isinstance(node, Var):
-            chosen.add(node.event)
-        elif isinstance(node, And):
-            walk.extend(node.children)
+        seen.add(v)
+        if v < first_gate:
+            chosen.add(event_of_var[v])
+            continue
+        is_and, kids = instance.circuit[v - first_gate]
+        if is_and:
+            walk.extend(kids)
         else:
-            best = min(node.children, key=lambda c: cost[id(c)])
-            walk.append(best)
+            walk.append(min(kids, key=cost.__getitem__))
     return frozenset(chosen)
 
 
 def _residual_bound(
-    instance: WcnfInstance, val: Sequence[int], weight_of_var: dict[int, float]
+    instance: WcnfInstance, val: Sequence[int], weight: Sequence[float]
 ) -> float:
     """Admissible lower bound on the extra weight any completion must pay.
 
-    Walks the failure formula under the current assignment: a true leaf
-    or gate costs nothing more, a false one can no longer provide
-    support, an open event costs its weight.  AND combines children by
-    sum on tree-shaped instances (each event appears once) and by max
-    under sharing, which never overestimates.
+    Evaluates the circuit under the current assignment: a true event or
+    gate costs nothing more, a false one can no longer provide support,
+    an open event costs its weight.  AND combines children by sum on
+    tree-shaped instances (each event appears once) and by max under
+    sharing, which never overestimates.  ``weight`` is indexed by variable.
     """
-    var_of_event = instance.var_map.var_of_event
-    gate_var_of = instance.gate_var_of
-    sum_ok = instance.tree_shaped
-    bound: dict[int, float] = {}
-    stack: list[BooleanFormula] = [instance.formula]
-    while stack:
-        node = stack[-1]
-        key = id(node)
-        if key in bound:
-            stack.pop()
-            continue
-        if isinstance(node, Var):
-            v = val[var_of_event[node.event]]
-            bound[key] = (
-                0.0 if v > 0 else math.inf if v < 0 else weight_of_var[var_of_event[node.event]]
-            )
-            stack.pop()
-            continue
-        pending = [c for c in node.children if id(c) not in bound]
-        if pending:
-            stack.extend(pending)
-            continue
-        if val[gate_var_of[key]] < 0:
-            bound[key] = math.inf
+    first_gate = len(instance.var_map.var_of_event) + 1
+    bound = [
+        0.0 if v > 0 else math.inf if v < 0 else w
+        for v, w in zip(val[:first_gate], weight)
+    ]
+    combine = math.fsum if instance.tree_shaped else max
+    for g, (is_and, kids) in enumerate(instance.circuit, first_gate):
+        if val[g] < 0:
+            bound.append(math.inf)
         else:
-            child_bounds = [bound[id(c)] for c in node.children]
-            if isinstance(node, And):
-                bound[key] = (
-                    math.fsum(child_bounds) if sum_ok else max(child_bounds)
-                )
-            else:
-                bound[key] = min(child_bounds)
-        stack.pop()
-    return bound[id(instance.formula)]
+            child_bounds = [bound[c] for c in kids]
+            bound.append(combine(child_bounds) if is_and else min(child_bounds))
+    return bound[instance.var_map.root_var]
 
 
 def _prune_slack(incumbent: float) -> float:
@@ -489,8 +445,7 @@ def solve_branch_and_bound(
     """
     start = time.perf_counter()
     deadline = start + config.time_budget
-    weight_of_var = dict(instance.soft)
-    prop = Propagator(instance.hard, weight_of_var)
+    prop = Propagator(instance.hard, dict(instance.soft))
     event_vars = _sorted_event_vars(instance)
     order = _decision_order(instance, config)
     decisions = 0
@@ -501,9 +456,9 @@ def solve_branch_and_bound(
     incumbent: Optional[tuple[int, ...]] = None
     incumbent_w = math.inf
     if config.warm_start:
-        warm = complete_assignment(instance, _greedy_tree_events(instance))
+        warm = complete_assignment(instance, _greedy_tree_events(instance, prop.weight))
         # Extra hard clauses (e.g. blocking) can invalidate the greedy set.
-        if _satisfies(instance.hard, warm):
+        if _satisfies(instance.hard.clauses, warm):
             incumbent = warm
             incumbent_w = _exact_weight(warm, event_vars)
 
@@ -531,7 +486,7 @@ def solve_branch_and_bound(
             if prop.cost >= threshold:
                 conflict = True
             elif use_bound and prop.cost + _residual_bound(
-                instance, prop.val, weight_of_var
+                instance, prop.val, prop.weight
             ) >= threshold:
                 conflict = True
         if not conflict:
@@ -804,18 +759,19 @@ def extract_mpmcs(
     if solution.assignment is None:
         raise ValueError("solution carries no model to extract from")
     val = solution.assignment
-    if not _satisfies(instance.hard, val):
+    if not _satisfies(instance.hard.clauses, val):
         raise InconsistencyError("solution does not satisfy the hard clauses")
     cut = {
         eid
         for eid, var in instance.var_map.var_of_event.items()
         if val[var] > 0
     }
+    root = instance.var_map.root_var
     for eid in sorted(cut, key=lambda e: (-weights[e], e)):
         trial = cut - {eid}
-        if evaluate(instance.formula, {x: True for x in trial}):
+        if complete_assignment(instance, trial)[root] > 0:
             cut = trial
-    if not evaluate(instance.formula, {x: True for x in cut}):
+    if complete_assignment(instance, cut)[root] <= 0:
         raise InconsistencyError("extracted cut set does not fail the top event")
     ordered = sorted(cut)
     ws = [weights[e] for e in ordered]
@@ -872,7 +828,9 @@ def enumerate_optima(
 
     Each optimum found is blocked with a hard clause and the instance is
     re-solved until the optimum weight rises or the instance becomes
-    unsatisfiable.  Results come back in discovery order.
+    unsatisfiable.  Results come back in discovery order.  Raises
+    ``OptimaTimeoutError``, carrying the optima found so far, if any solve
+    ends unproven.
     """
     results: list[MpmcsResult] = []
     first: Optional[float] = None
@@ -883,7 +841,7 @@ def enumerate_optima(
         except UnsatisfiableError:
             break
         if not sol.proven:
-            break
+            raise OptimaTimeoutError(results)
         res = extract_mpmcs(sol, current, weights)
         if first is None:
             first = res.log_weight

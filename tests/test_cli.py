@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from helpers import tree
+from mpmcs import solver
 from mpmcs.cli import main
 from mpmcs.encoding import format_wcnf
 from mpmcs.fault_tree import parse_fault_tree, serialize_fault_tree
@@ -62,6 +65,28 @@ def test_solve_all_optima_with_ties(capsys, tmp_path):
     report = json.loads(out)
     assert sorted(o["cut_set"] for o in report["optima"]) == [["a"], ["b"]]
     assert report["proven"] is True
+
+
+def test_solve_all_optima_unproven_resolve_reports_partial(capsys, tmp_path, monkeypatch):
+    t = tree({"top": ("or", ["a", "b"]), "a": 0.25, "b": 0.25}, top="top")
+    path = write_tree(tmp_path / "tie.json", t)
+    real = solver.solve_portfolio
+    calls = []
+
+    def second_solve_unproven(*args, **kwargs):
+        calls.append(None)
+        sol = real(*args, **kwargs)
+        if len(calls) == 2:
+            return replace(sol, assignment=None, weight=math.inf, proven=False)
+        return sol
+
+    monkeypatch.setattr(solver, "solve_portfolio", second_solve_unproven)
+    code, out, _ = run_cli(capsys, "solve", path, "--all-optima")
+    assert code == 2
+    report = json.loads(out)
+    assert report["proven"] is False
+    assert len(report["optima"]) == 1
+    assert report["cut_set"] == report["optima"][0]["cut_set"]
 
 
 def test_solve_budget_exhausted_still_reports(capsys, tmp_path):

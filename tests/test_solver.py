@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
+import pickle
 import threading
 
 import pytest
@@ -11,10 +14,11 @@ from hypothesis import given, settings
 import strategies
 from helpers import is_minimal_cut, small_random_tree, tree
 from mpmcs.encoding import CnfFormula, build_wcnf, event_weights
-from mpmcs.fault_tree import to_formula
+from mpmcs.fault_tree import evaluate, to_formula
 from mpmcs.generator import GeneratorParams, random_fault_tree
 from mpmcs.oracle import oracle_mpmcs
 from mpmcs.solver import (
+    PRUNE_EPS,
     FrontierLimitError,
     InconsistencyError,
     PortfolioError,
@@ -25,6 +29,7 @@ from mpmcs.solver import (
     Strategy,
     UnsatisfiableError,
     VarOrder,
+    _residual_bound,
     add_blocking_clause,
     complete_assignment,
     compute_mpmcs,
@@ -161,6 +166,16 @@ def _assert_strategies_match_oracle(t):
     weights = event_weights(t)
     want = oracle_mpmcs(t)
     formula = to_formula(t)
+    root = instance.var_map.root_var
+    events = sorted(t.event_ids)
+    for k in range(len(events) + 1):
+        for chosen in itertools.combinations(events, k):
+            circuit_says = complete_assignment(instance, frozenset(chosen))[root] > 0
+            assert circuit_says == evaluate(formula, {e: True for e in chosen}), chosen
+    prop = Propagator(instance.hard, dict(instance.soft))
+    assert prop.assert_units()
+    bound = _residual_bound(instance, prop.val, prop.weight)
+    assert prop.cost + bound <= want.log_weight + PRUNE_EPS
     for config in ALL_CONFIGS:
         sol = _solve(instance, config)
         assert sol.proven, config.solver_id
@@ -169,6 +184,26 @@ def _assert_strategies_match_oracle(t):
             config.solver_id
         )
         assert is_minimal_cut(formula, res.cut_set), config.solver_id
+
+
+def test_instance_survives_deepcopy_and_pickle():
+    t = tree(
+        {
+            "top": ("or", ["g1", "g2", "g3"]),
+            "g1": ("and", ["a", "b"]),
+            "g2": ("and", ["a", "c"]),
+            "g3": ("and", ["b", "c", "d"]),
+            "a": 0.3, "b": 0.4, "c": 0.5, "d": 0.9,
+        },
+        top="top",
+    )
+    instance = build_wcnf(t)
+    assert not instance.tree_shaped
+    want = solve_branch_and_bound(instance, SolverConfig())
+    for clone in (copy.deepcopy(instance), pickle.loads(pickle.dumps(instance))):
+        got = solve_branch_and_bound(clone, SolverConfig())
+        assert got.weight == want.weight
+        assert got.stats.decisions == want.stats.decisions
 
 
 def test_repeat_solves_are_bit_identical():
