@@ -2,8 +2,7 @@
 
 Subcommands: ``solve`` (JSON report on stdout), ``check`` (cross-check
 against the brute-force reference), ``export-wcnf`` (DIMACS-style dump),
-``generate`` (random benchmark trees), and ``bench`` (a small scaling
-table).
+and ``generate`` (random benchmark trees).
 
 Exit codes: 0 success, 1 invalid input or usage, 2 budget exhausted
 before optimality was proven (the unproven report is still printed),
@@ -15,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import Optional, Sequence
 
 from .encoding import WcnfInstance, build_wcnf, event_weights, format_wcnf
@@ -23,12 +21,8 @@ from .fault_tree import FaultTree, FaultTreeError, parse_fault_tree, serialize_f
 from .generator import GeneratorParams, random_fault_tree
 from .oracle import MAX_ORACLE_EVENTS, oracle_mpmcs
 from .solver import (
-    GRACE_PERIOD,
     MpmcsResult,
     OptimaTimeoutError,
-    SolverConfig,
-    Strategy,
-    VarOrder,
     default_portfolio,
     enumerate_optima,
     extract_mpmcs,
@@ -62,28 +56,6 @@ def _load_tree(path: str) -> FaultTree:
     return parse_fault_tree(text)
 
 
-def _configs_for(strategy: str, workers: int, timeout: float) -> list[SolverConfig]:
-    if strategy == "bnb":
-        configs = [
-            SolverConfig(
-                strategy=Strategy.BRANCH_AND_BOUND,
-                var_order=VarOrder.DESCENDING_WEIGHT,
-                time_budget=timeout,
-            )
-        ]
-    elif strategy == "bestfirst":
-        configs = [
-            SolverConfig(
-                strategy=Strategy.BEST_FIRST,
-                var_order=VarOrder.ASCENDING_WEIGHT,
-                time_budget=timeout,
-            )
-        ]
-    else:
-        configs = default_portfolio(time_budget=timeout)
-    return configs[: max(1, workers)]
-
-
 def _report(
     tree: FaultTree,
     instance: WcnfInstance,
@@ -112,12 +84,14 @@ def _cmd_solve(args) -> int:
     tree = _load_tree(args.file)
     instance = build_wcnf(tree)
     weights = event_weights(tree)
-    configs = _configs_for(args.strategy, args.workers, args.timeout)
+    configs = default_portfolio(time_budget=args.timeout)
+    if args.strategy != "portfolio":
+        configs = [c for c in configs if c.strategy.value == args.strategy]
 
     if args.all_optima:
         proven = True
         try:
-            optima = enumerate_optima(instance, weights, configs, grace=GRACE_PERIOD)
+            optima = enumerate_optima(instance, weights, configs)
         except OptimaTimeoutError as exc:
             optima, proven = exc.optima, False
         if not optima:
@@ -139,7 +113,7 @@ def _cmd_solve(args) -> int:
         print(json.dumps(report, indent=2))
         return EXIT_OK if proven else EXIT_BUDGET
 
-    solution = solve_portfolio(instance, configs, GRACE_PERIOD)
+    solution = solve_portfolio(instance, configs)
     result = None
     if solution.assignment is not None:
         result = extract_mpmcs(solution, instance, weights)
@@ -162,8 +136,7 @@ def _cmd_check(args) -> int:
         return EXIT_INVALID
     instance = build_wcnf(tree)
     weights = event_weights(tree)
-    configs = _configs_for("portfolio", args.workers, args.timeout)
-    solution = solve_portfolio(instance, configs, GRACE_PERIOD)
+    solution = solve_portfolio(instance, default_portfolio(time_budget=args.timeout))
     if not solution.proven:
         print("error: budget exhausted before optimality was proven", file=sys.stderr)
         return EXIT_BUDGET
@@ -240,39 +213,6 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError:
-        print(f"error: bad --sizes value {args.sizes!r}", file=sys.stderr)
-        return EXIT_INVALID
-    if not sizes or any(s < 1 for s in sizes):
-        print("error: --sizes needs positive integers", file=sys.stderr)
-        return EXIT_INVALID
-    print(f"{'nodes':>8} {'events':>8} {'encode_ms':>10} {'solve_ms':>10} "
-          f"{'proven':>7} {'winner':>15}")
-    for i, size in enumerate(sizes):
-        tree = random_fault_tree(
-            GeneratorParams(nodes=size, seed=args.seed + i)
-        )
-        t0 = time.perf_counter()
-        instance = build_wcnf(tree)
-        t1 = time.perf_counter()
-        weights = event_weights(tree)
-        solution = solve_portfolio(
-            instance, default_portfolio(time_budget=args.timeout), GRACE_PERIOD
-        )
-        t2 = time.perf_counter()
-        if solution.assignment is not None:
-            extract_mpmcs(solution, instance, weights)
-        print(
-            f"{size:>8} {len(tree.event_ids):>8} {(t1 - t0) * 1000:>10.1f} "
-            f"{(t2 - t1) * 1000:>10.1f} {str(solution.proven):>7} "
-            f"{solution.solver_id:>15}"
-        )
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mpmcs",
@@ -285,12 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one fault tree file")
     p_solve.add_argument("file", help="fault tree JSON file")
-    p_solve.add_argument("--workers", type=int, default=2,
-                         help="portfolio members to run (default 2)")
     p_solve.add_argument("--timeout", type=float, default=60.0,
                          help="per-strategy time budget in seconds")
-    p_solve.add_argument("--strategy", choices=("portfolio", "bnb", "bestfirst"),
-                         default="portfolio", help="search strategy")
+    members = tuple(c.strategy.value for c in default_portfolio())
+    p_solve.add_argument("--strategy", choices=("portfolio", *members),
+                         default="portfolio",
+                         help="the whole portfolio, or one of its members")
     p_solve.add_argument("--all-optima", action="store_true",
                          help="enumerate every cut set tied for the optimum")
     p_solve.set_defaults(func=_cmd_solve)
@@ -299,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="solve and cross-check against brute force (small trees)"
     )
     p_check.add_argument("file", help="fault tree JSON file")
-    p_check.add_argument("--workers", type=int, default=2)
     p_check.add_argument("--timeout", type=float, default=60.0)
     p_check.set_defaults(func=_cmd_check)
 
@@ -319,13 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-o", "--output", default="-",
                        help="output path (default stdout)")
     p_gen.set_defaults(func=_cmd_generate)
-
-    p_bench = sub.add_parser("bench", help="time the portfolio across sizes")
-    p_bench.add_argument("--sizes", default="100,1000",
-                         help="comma-separated node counts")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--timeout", type=float, default=60.0)
-    p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Mapping, Union
 
 
 class FaultTreeError(ValueError):
@@ -122,52 +122,28 @@ def _validate(tree: FaultTree) -> None:
     if tree.top not in tree.nodes:
         raise FaultTreeError(f"top {tree.top!r} is not a node")
 
-    _check_acyclic(tree)
-
-    reachable = set()
-    stack = [tree.top]
+    # One iterative three-state DFS from the top (trees can be deep, so no
+    # recursion): reaching a node still on the stack closes a cycle, and
+    # the nodes it finishes are exactly those reachable from the top.
+    GREY, BLACK = 1, 2
+    state = {tree.top: GREY}
+    stack = [(tree.top, iter(getattr(tree.nodes[tree.top], "children", ())))]
     while stack:
-        nid = stack.pop()
-        if nid in reachable:
-            continue
-        reachable.add(nid)
-        node = tree.nodes[nid]
-        if isinstance(node, Gate):
-            stack.extend(node.children)
-    unreachable = set(tree.nodes) - reachable
-    if unreachable:
-        shown = sorted(unreachable)[0]
+        nid, children = stack[-1]
+        for child in children:
+            seen = state.get(child)
+            if seen == GREY:
+                raise FaultTreeError(f"cycle through node {child!r}")
+            if seen is None:
+                state[child] = GREY
+                stack.append((child, iter(getattr(tree.nodes[child], "children", ()))))
+                break
+        else:
+            state[nid] = BLACK
+            stack.pop()
+    if len(state) < len(tree.nodes):
+        shown = sorted(set(tree.nodes) - set(state))[0]
         raise FaultTreeError(f"node {shown!r} is not reachable from top {tree.top!r}")
-
-
-def _check_acyclic(tree: FaultTree) -> None:
-    """Iterative three-state DFS; trees can be deep, so no recursion."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    state = {nid: WHITE for nid in tree.nodes}
-    for start in tree.nodes:
-        if state[start] != WHITE:
-            continue
-        stack: list[tuple[str, Iterator[str]]] = [(start, _child_iter(tree, start))]
-        state[start] = GREY
-        while stack:
-            nid, children = stack[-1]
-            advanced = False
-            for child in children:
-                if state[child] == GREY:
-                    raise FaultTreeError(f"cycle through node {child!r}")
-                if state[child] == WHITE:
-                    state[child] = GREY
-                    stack.append((child, _child_iter(tree, child)))
-                    advanced = True
-                    break
-            if not advanced:
-                state[nid] = BLACK
-                stack.pop()
-
-
-def _child_iter(tree: FaultTree, nid: str) -> Iterator[str]:
-    node = tree.nodes[nid]
-    return iter(node.children) if isinstance(node, Gate) else iter(())
 
 
 _GATE_KEYS = {"id", "type", "children"}
@@ -285,9 +261,12 @@ def _post_order(formula: BooleanFormula, leaf: Callable, gate: Callable):
     """Fold ``formula`` bottom-up, each shared node once; return the root's value.
 
     ``leaf(var)`` values a ``Var``; ``gate(is_and, child_values)`` values a
-    gate once all its children have values.  Gates are reached in one fixed
-    post-order (children left to right, shared nodes keyed by identity),
-    which the Tseitin numbering relies on.
+    gate once all its children have values, passed in their listed order.
+    Nodes are reached in one fixed post-order: the stack takes a gate's
+    last pending child first, so for ``And(Or(a, b), Or(c, d))`` the fold
+    visits ``d, c, Or(c, d), b, a, Or(a, b)``, then the ``And``.  Shared
+    nodes are keyed by identity.  The Tseitin gate numbering, and so the
+    ``export-wcnf`` output byte for byte, depends on this order.
     """
     value: dict[int, object] = {}
     stack = [formula]

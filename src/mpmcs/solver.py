@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import random
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -41,6 +40,10 @@ from .encoding import (
 from .fault_tree import FaultTree
 
 PRUNE_EPS = 1e-12
+# Seconds a losing portfolio worker may take to stop once a winner reports.
+GRACE_PERIOD = 0.1
+# Relative weight difference within which two optima count as tied.
+TIE_REL_TOL = 1e-9
 
 
 class UnsatisfiableError(RuntimeError):
@@ -89,7 +92,6 @@ class SolverConfig:
     strategy: Strategy = Strategy.BRANCH_AND_BOUND
     var_order: VarOrder = VarOrder.DESCENDING_WEIGHT
     time_budget: float = 60.0
-    seed: Optional[int] = None
     # Extras beyond the basic contract, all defaulted:
     use_lower_bound: bool = True  # admissible residual bound in branch and bound
     warm_start: bool = True  # greedy tree solution seeds the incumbent
@@ -303,8 +305,6 @@ class Propagator:
 def _decision_order(instance: WcnfInstance, config: SolverConfig) -> list[int]:
     """Event variables in the configured branching order."""
     entries = sorted(instance.var_map.var_of_event.items())  # by event id
-    if config.seed is not None:
-        random.Random(config.seed).shuffle(entries)
     weight = dict(instance.soft)
     if config.var_order is VarOrder.DESCENDING_WEIGHT:
         entries.sort(key=lambda ev: -weight[ev[1]])
@@ -418,12 +418,12 @@ def _residual_bound(
 
 
 def _prune_slack(incumbent: float) -> float:
-    # Absolute floor per the pruning contract, widened in proportion to
-    # the incumbent so float noise in large accumulated sums cannot keep
-    # provably-dead branches alive.
+    # Relative, so float noise in large accumulated sums cannot keep
+    # provably-dead branches alive, while an incumbent smaller than
+    # PRUNE_EPS itself still leaves a non-negative threshold.
     if incumbent == math.inf:
         return PRUNE_EPS
-    return max(PRUNE_EPS, PRUNE_EPS * abs(incumbent))
+    return PRUNE_EPS * abs(incumbent)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +434,6 @@ def solve_branch_and_bound(
     instance: WcnfInstance,
     config: SolverConfig,
     cancel: Optional[threading.Event] = None,
-    _trace: Optional[list] = None,
 ) -> Solution:
     """Depth-first search over event variables with incumbent pruning.
 
@@ -502,17 +501,11 @@ def solve_branch_and_bound(
                 stack.append([var, False])
                 decisions += 1
                 prop.decide(var, False)
-                if _trace is not None:
-                    _trace.append(("push", len(stack), prop.cost))
                 conflict = not prop.propagate()
-                if _trace is not None and not conflict:
-                    _trace.append(("cost", len(stack), prop.cost))
                 continue
         # conflict (or prune, or explored leaf): chronological backtracking
         while stack and stack[-1][1]:
             stack.pop()
-            if _trace is not None:
-                _trace.append(("pop", len(stack) + 1, None))
         if not stack:
             if incumbent is None:
                 raise UnsatisfiableError("search space exhausted without a model")
@@ -529,11 +522,7 @@ def solve_branch_and_bound(
         prop.backtrack(len(stack) - 1)
         decisions += 1
         prop.decide(frame[0], True)
-        if _trace is not None:
-            _trace.append(("push", len(stack), prop.cost))
         conflict = not prop.propagate()
-        if _trace is not None and not conflict:
-            _trace.append(("cost", len(stack), prop.cost))
 
     elapsed = time.perf_counter() - start
     return Solution(
@@ -639,8 +628,6 @@ def solve_best_first(
 # ---------------------------------------------------------------------------
 # Portfolio
 
-GRACE_PERIOD = 0.1
-
 
 def _solve_one(
     instance: WcnfInstance, config: SolverConfig, cancel: Optional[threading.Event]
@@ -653,7 +640,6 @@ def _solve_one(
 def solve_portfolio(
     instance: WcnfInstance,
     configs: Sequence[SolverConfig],
-    grace: float = GRACE_PERIOD,
 ) -> Solution:
     """Run all configurations concurrently; first proven result wins.
 
@@ -665,17 +651,6 @@ def solve_portfolio(
     """
     if not configs:
         raise ValueError("portfolio needs at least one configuration")
-    if len(configs) == 1:
-        sol = _solve_one(instance, configs[0], None)
-        report = WorkerReport(
-            solver_id=sol.solver_id,
-            proven=sol.proven,
-            weight=sol.weight,
-            elapsed=sol.stats.elapsed,
-            cancelled=sol.stats.cancelled,
-        )
-        return replace(sol, workers=(report,))
-
     cancel = threading.Event()
     lock = threading.Lock()
     outcomes: list[Optional[Solution]] = [None] * len(configs)
@@ -720,7 +695,7 @@ def solve_portfolio(
         after = None
         if won is not None and exit_times[i] is not None:
             after = max(0.0, exit_times[i] - won)
-        inside = None if after is None else after <= grace
+        inside = None if after is None else after <= GRACE_PERIOD
         if sol is None:
             reports.append(
                 WorkerReport(cfg.solver_id, False, math.inf, 0.0, False,
@@ -798,7 +773,6 @@ def add_blocking_clause(instance: WcnfInstance, events: frozenset[str]) -> WcnfI
 def compute_mpmcs(
     tree: FaultTree,
     configs: Optional[Sequence[SolverConfig]] = None,
-    grace: float = GRACE_PERIOD,
 ) -> MpmcsResult:
     """Encode ``tree``, run the portfolio, and extract the certified result.
 
@@ -811,7 +785,7 @@ def compute_mpmcs(
     weights = event_weights(tree)
     if configs is None:
         configs = default_portfolio()
-    solution = solve_portfolio(instance, configs, grace)
+    solution = solve_portfolio(instance, configs)
     if not solution.proven:
         raise TimeoutError("no strategy proved optimality within its budget")
     return extract_mpmcs(solution, instance, weights)
@@ -821,10 +795,8 @@ def enumerate_optima(
     instance: WcnfInstance,
     weights: WeightMap,
     configs: Sequence[SolverConfig],
-    grace: float = GRACE_PERIOD,
-    rel_tol: float = 1e-9,
 ) -> list[MpmcsResult]:
-    """All cut sets tied (within tolerance) for the optimal weight.
+    """All cut sets tied (within ``TIE_REL_TOL``) for the optimal weight.
 
     Each optimum found is blocked with a hard clause and the instance is
     re-solved until the optimum weight rises or the instance becomes
@@ -837,7 +809,7 @@ def enumerate_optima(
     current = instance
     while True:
         try:
-            sol = solve_portfolio(current, configs, grace)
+            sol = solve_portfolio(current, configs)
         except UnsatisfiableError:
             break
         if not sol.proven:
@@ -845,7 +817,7 @@ def enumerate_optima(
         res = extract_mpmcs(sol, current, weights)
         if first is None:
             first = res.log_weight
-        elif res.log_weight > first + max(rel_tol, rel_tol * abs(first)):
+        elif res.log_weight > first + max(TIE_REL_TOL, TIE_REL_TOL * abs(first)):
             break
         results.append(res)
         current = add_blocking_clause(current, res.cut_set)

@@ -9,17 +9,6 @@ from mpmcs.fault_tree import parse_fault_tree
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
-# Worked example: probabilities and their log-space weights.
-FIRE_WEIGHTS = {
-    "x1": (0.2, 1.60944),
-    "x2": (0.1, 2.30259),
-    "x3": (0.001, 6.90776),
-    "x4": (0.002, 6.21461),
-    "x5": (0.05, 2.99573),
-    "x6": (0.1, 2.30259),
-    "x7": (0.05, 2.99573),
-}
-
 
 @pytest.fixture(scope="session")
 def fire_path() -> Path:

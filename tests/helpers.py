@@ -20,6 +20,17 @@ from mpmcs.fault_tree import (
 )
 from mpmcs.generator import GeneratorParams, random_fault_tree
 
+# Worked example: probabilities and their log-space weights.
+FIRE_WEIGHTS = {
+    "x1": (0.2, 1.60944),
+    "x2": (0.1, 2.30259),
+    "x3": (0.001, 6.90776),
+    "x4": (0.002, 6.21461),
+    "x5": (0.05, 2.99573),
+    "x6": (0.1, 2.30259),
+    "x7": (0.05, 2.99573),
+}
+
 
 def tree(spec: dict, top: str, name: str = "test") -> FaultTree:
     """Build a FaultTree from ``{id: prob}`` and ``{id: (op, children)}``."""

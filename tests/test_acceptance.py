@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 import time
 
-from conftest import FIRE_WEIGHTS
 from helpers import (
+    FIRE_WEIGHTS,
     all_models,
     is_minimal_cut,
     project_models,

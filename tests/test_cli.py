@@ -48,13 +48,11 @@ def test_solve_reports_golden_result(capsys, fire_path):
 def test_solve_strategies(capsys, fire_path, strategy):
     code, out, _ = run_cli(capsys, "solve", str(fire_path), "--strategy", strategy)
     assert code == 0
-    assert json.loads(out)["cut_set"] == ["x1", "x2"]
-
-
-def test_solve_single_worker(capsys, fire_path):
-    code, out, _ = run_cli(capsys, "solve", str(fire_path), "--workers", "1")
-    assert code == 0
-    assert json.loads(out)["proven"] is True
+    report = json.loads(out)
+    assert report["cut_set"] == ["x1", "x2"]
+    assert report["proven"] is True
+    members = {"bnb": {"bnb-desc"}, "bestfirst": {"bestfirst-asc"}}
+    assert report["solver_id"] in members.get(strategy, {"bnb-desc", "bestfirst-asc"})
 
 
 def test_solve_all_optima_with_ties(capsys, tmp_path):
@@ -184,23 +182,6 @@ def test_generated_trees_are_solvable(capsys, tmp_path):
     report = json.loads(out)
     assert report["proven"] is True
     assert report["cut_set"]
-
-
-def test_bench_prints_table(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--sizes", "20,50", "--seed", "1")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 3  # header plus one row per size
-    assert "nodes" in lines[0]
-    assert lines[1].split()[0] == "20"
-    assert lines[2].split()[0] == "50"
-
-
-def test_bench_rejects_bad_sizes(capsys):
-    code, _, err = run_cli(capsys, "bench", "--sizes", "ten")
-    assert code == 1
-    code, _, err = run_cli(capsys, "bench", "--sizes", "-5")
-    assert code == 1
 
 
 def test_module_entry_point(fire_path):
