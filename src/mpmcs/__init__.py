@@ -16,7 +16,6 @@ from .encoding import (
     format_wcnf,
     joint_probability,
     to_log_space,
-    tseitin,
 )
 from .fault_tree import (
     And,
@@ -103,6 +102,5 @@ __all__ = [
     "solve_portfolio",
     "to_formula",
     "to_log_space",
-    "tseitin",
     "__version__",
 ]

@@ -17,13 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .fault_tree import (
-    BooleanFormula,
-    FaultTree,
-    _post_order,
-    formula_events,
-    to_formula,
-)
+from .fault_tree import BasicEvent, FaultTree, GateOp
 
 Literal = int
 Clause = tuple[Literal, ...]
@@ -112,78 +106,67 @@ def event_weights(tree: FaultTree) -> WeightMap:
     return {eid: to_log_space(p) for eid, p in tree.probabilities().items()}
 
 
-def tseitin(formula: BooleanFormula) -> tuple[CnfFormula, VarMap]:
-    """Equisatisfiable CNF of ``formula`` with the root asserted true.
+def build_wcnf(tree: FaultTree) -> WcnfInstance:
+    """Compile a fault tree into its weighted partial MaxSAT instance.
 
-    Events take variables 1..E in first-appearance order; each gate node
-    gets one auxiliary variable (shared nodes are encoded once, keyed by
-    object identity).  Every gate emits the full biconditional:
+    One pass over ``tree.order`` (children before parents) numbers the
+    nodes and emits the clauses.  Events take variables ``1..E`` in the
+    order the walk first meets them (a leaf finishes as soon as it is
+    met); gates take ``E+1..`` in the order it finishes them, one
+    auxiliary variable per gate however often it is shared.  Every gate
+    emits the full biconditional:
 
         g <-> AND(c1..ck):  (-g c_i) for each i,  (g -c_1 .. -c_k)
         g <-> OR(c1..ck):   (-g c_1 .. c_k),      (g -c_i) for each i
 
-    followed by a unit clause on the root variable.  Restricted to event
-    variables, the models of the result are exactly the satisfying
-    assignments of ``formula``.
+    followed by a unit clause on the root variable, so the hard CNF
+    asserts that the failure formula is true; restricted to event
+    variables, its models are exactly the event sets that fail the top.
+    (The flipped success-tree reading makes this the complement of the
+    all-events-held success condition, so no negated leaves are ever
+    needed.)  Soft clauses prefer each event false at cost ``-ln p``;
+    minimising the falsified weight therefore maximises the joint
+    probability of the events that do occur.
     """
-    cnf, var_map, _ = _tseitin_full(formula)
-    return cnf, var_map
-
-
-def _tseitin_full(formula: BooleanFormula) -> tuple[CnfFormula, VarMap, Circuit]:
-    events = formula_events(formula)
-    var_of_event = {eid: i + 1 for i, eid in enumerate(events)}
+    num_events = len(tree.event_ids)
+    var_of: dict[str, int] = {}
+    soft: list[tuple[int, float]] = []
     circuit: list[tuple[bool, tuple[int, ...]]] = []
     clauses: list[Clause] = []
-
-    def gate(is_and: bool, child_lits: list[int]) -> int:
-        circuit.append((is_and, tuple(child_lits)))
-        g = len(events) + len(circuit)
+    for nid in tree.order:
+        node = tree.nodes[nid]
+        if isinstance(node, BasicEvent):
+            var = len(soft) + 1
+            soft.append((var, to_log_space(node.probability)))
+            var_of[nid] = var
+            continue
+        is_and = node.op is GateOp.AND
+        kids = tuple(var_of[c] for c in node.children)
+        circuit.append((is_and, kids))
+        g = var_of[nid] = num_events + len(circuit)
         if is_and:
-            for c in child_lits:
-                clauses.append((-g, c))
-            clauses.append(tuple(-c for c in child_lits) + (g,))
+            clauses.extend((-g, c) for c in kids)
+            clauses.append(tuple(-c for c in kids) + (g,))
         else:
-            clauses.append((-g,) + tuple(child_lits))
-            for c in child_lits:
-                clauses.append((-c, g))
-        return g
-
-    root_var = _post_order(formula, lambda var: var_of_event[var.event], gate)
+            clauses.append((-g,) + kids)
+            clauses.extend((-c, g) for c in kids)
+    root_var = var_of[tree.top]
     clauses.append((root_var,))
 
-    num_vars = len(events) + len(circuit)
+    num_vars = num_events + len(circuit)
+    var_of_event = {nid: v for nid, v in var_of.items() if v <= num_events}
     var_map = VarMap(
         var_of_event=var_of_event,
         event_of_var={v: e for e, v in var_of_event.items()},
-        aux_vars=frozenset(range(len(events) + 1, num_vars + 1)),
+        aux_vars=frozenset(range(num_events + 1, num_vars + 1)),
         root_var=root_var,
-    )
-    cnf = CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
-    return cnf, var_map, tuple(circuit)
-
-
-def build_wcnf(tree: FaultTree) -> WcnfInstance:
-    """Compile a fault tree into its weighted partial MaxSAT instance.
-
-    The hard CNF asserts that the failure formula is true (the flipped
-    success-tree reading makes this the complement of the all-events-held
-    success condition, so no negated leaves are ever needed).  Soft
-    clauses prefer each event false at cost ``-ln p``; minimising the
-    falsified weight therefore maximises the joint probability of the
-    events that do occur.
-    """
-    cnf, var_map, circuit = _tseitin_full(to_formula(tree))
-    weights = event_weights(tree)
-    soft = tuple(
-        (var, weights[eid]) for eid, var in var_map.var_of_event.items()
     )
     children = [c for _, kids in circuit for c in kids]
     return WcnfInstance(
-        hard=cnf,
-        soft=soft,
+        hard=CnfFormula(num_vars=num_vars, clauses=tuple(clauses)),
+        soft=tuple(soft),
         var_map=var_map,
-        circuit=circuit,
+        circuit=tuple(circuit),
         tree_shaped=len(children) == len(set(children)),
     )
 

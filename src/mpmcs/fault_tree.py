@@ -14,7 +14,7 @@ The tree translates into a positive-literal Boolean formula (``Var`` /
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Union
 
@@ -46,14 +46,20 @@ Node = Union[Gate, BasicEvent]
 
 @dataclass(frozen=True)
 class FaultTree:
-    """Validated fault tree.  Construction runs all structural checks."""
+    """Validated fault tree.  Construction runs all structural checks.
+
+    ``order`` lists every node id once, children before parents: the
+    order in which the validating depth-first walk from ``top`` finishes
+    them.  It is derived, so it takes no part in construction or equality.
+    """
 
     name: str
     nodes: Mapping[str, Node]
     top: str
+    order: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _validate(self)
+        object.__setattr__(self, "order", _validate(self))
 
     @property
     def event_ids(self) -> list[str]:
@@ -97,7 +103,8 @@ BooleanFormula = Union[Var, And, Or]
 Assignment = Mapping[str, bool]
 
 
-def _validate(tree: FaultTree) -> None:
+def _validate(tree: FaultTree) -> tuple[str, ...]:
+    """Run the structural checks; return the node ids in DFS finish order."""
     if not tree.nodes:
         raise FaultTreeError("tree has no nodes")
     for nid, node in tree.nodes.items():
@@ -127,6 +134,7 @@ def _validate(tree: FaultTree) -> None:
     # the nodes it finishes are exactly those reachable from the top.
     GREY, BLACK = 1, 2
     state = {tree.top: GREY}
+    order: list[str] = []
     stack = [(tree.top, iter(getattr(tree.nodes[tree.top], "children", ())))]
     while stack:
         nid, children = stack[-1]
@@ -140,10 +148,12 @@ def _validate(tree: FaultTree) -> None:
                 break
         else:
             state[nid] = BLACK
+            order.append(nid)
             stack.pop()
     if len(state) < len(tree.nodes):
         shown = sorted(set(tree.nodes) - set(state))[0]
         raise FaultTreeError(f"node {shown!r} is not reachable from top {tree.top!r}")
+    return tuple(order)
 
 
 _GATE_KEYS = {"id", "type", "children"}
@@ -236,24 +246,13 @@ def to_formula(tree: FaultTree) -> BooleanFormula:
     DAG whenever the tree is.
     """
     built: dict[str, BooleanFormula] = {}
-    stack = [tree.top]
-    while stack:
-        nid = stack[-1]
-        if nid in built:
-            stack.pop()
-            continue
+    for nid in tree.order:
         node = tree.nodes[nid]
         if isinstance(node, BasicEvent):
             built[nid] = Var(nid)
-            stack.pop()
-            continue
-        pending = [c for c in node.children if c not in built]
-        if pending:
-            stack.extend(pending)
-            continue
-        parts = tuple(built[c] for c in node.children)
-        built[nid] = And(parts) if node.op is GateOp.AND else Or(parts)
-        stack.pop()
+        else:
+            parts = tuple(built[c] for c in node.children)
+            built[nid] = And(parts) if node.op is GateOp.AND else Or(parts)
     return built[tree.top]
 
 
@@ -265,8 +264,7 @@ def _post_order(formula: BooleanFormula, leaf: Callable, gate: Callable):
     Nodes are reached in one fixed post-order: the stack takes a gate's
     last pending child first, so for ``And(Or(a, b), Or(c, d))`` the fold
     visits ``d, c, Or(c, d), b, a, Or(a, b)``, then the ``And``.  Shared
-    nodes are keyed by identity.  The Tseitin gate numbering, and so the
-    ``export-wcnf`` output byte for byte, depends on this order.
+    nodes are keyed by identity.
     """
     value: dict[int, object] = {}
     stack = [formula]

@@ -14,8 +14,9 @@ are cancelled cooperatively through a flag they poll at every decision.
 
 Weight bookkeeping: search-time costs accumulate incrementally, but any
 weight that leaves this module is recomputed with ``math.fsum`` over the
-cut set's weights in sorted-event-id order, so equal sets report
-bit-identical totals no matter which strategy produced them.
+cut set's weights.  ``fsum`` rounds the exact sum once, so equal sets
+report bit-identical totals in whatever order the terms come and
+whichever strategy produced them.
 """
 
 from __future__ import annotations
@@ -315,16 +316,8 @@ def _decision_order(instance: WcnfInstance, config: SolverConfig) -> list[int]:
     return [var for _, var in entries]
 
 
-def _sorted_event_vars(instance: WcnfInstance) -> list[tuple[int, float]]:
-    weight = dict(instance.soft)
-    return [
-        (var, weight[var])
-        for _, var in sorted(instance.var_map.var_of_event.items())
-    ]
-
-
-def _exact_weight(val: Sequence[int], event_vars: list[tuple[int, float]]) -> float:
-    return math.fsum(w for var, w in event_vars if val[var] > 0)
+def _exact_weight(val: Sequence[int], instance: WcnfInstance) -> float:
+    return math.fsum(w for var, w in instance.soft if val[var] > 0)
 
 
 def _satisfies(clauses: Sequence[Sequence[int]], val: Sequence[int]) -> bool:
@@ -445,7 +438,6 @@ def solve_branch_and_bound(
     start = time.perf_counter()
     deadline = start + config.time_budget
     prop = Propagator(instance.hard, dict(instance.soft))
-    event_vars = _sorted_event_vars(instance)
     order = _decision_order(instance, config)
     decisions = 0
 
@@ -459,24 +451,20 @@ def solve_branch_and_bound(
         # Extra hard clauses (e.g. blocking) can invalidate the greedy set.
         if _satisfies(instance.hard.clauses, warm):
             incumbent = warm
-            incumbent_w = _exact_weight(warm, event_vars)
+            incumbent_w = _exact_weight(warm, instance)
 
     use_bound = config.use_lower_bound
     stack: list[list] = []  # [var, tried_true]
     cancelled = False
-    timed_out = False
 
     def over_budget() -> bool:
-        nonlocal cancelled, timed_out
+        nonlocal cancelled
         if cancel is not None and cancel.is_set():
             cancelled = True
             return True
-        if time.perf_counter() > deadline:
-            timed_out = True
-            return True
-        return False
+        return time.perf_counter() > deadline
 
-    conflict = not prop.propagate()
+    conflict = False
     while True:
         if over_budget():
             break
@@ -492,7 +480,7 @@ def solve_branch_and_bound(
             var = next((v for v in order if prop.val[v] == 0), None)
             if var is None:
                 # complete model: all aux were forced by propagation
-                w = _exact_weight(prop.val, event_vars)
+                w = _exact_weight(prop.val, instance)
                 if w < incumbent_w:
                     incumbent = tuple(prop.val)
                     incumbent_w = w
@@ -555,12 +543,11 @@ def solve_best_first(
     deadline = start + config.time_budget
     weight_of_var = dict(instance.soft)
     prop = Propagator(instance.hard, weight_of_var)
-    event_vars = _sorted_event_vars(instance)
     order = _decision_order(instance, config)
     decisions = 0
     cancelled = False
 
-    if not prop.assert_units() or not prop.propagate():
+    if not prop.assert_units():
         raise UnsatisfiableError("hard clauses conflict at root level")
 
     tie = count()
@@ -591,7 +578,7 @@ def solve_best_first(
             elapsed = time.perf_counter() - start
             return Solution(
                 assignment=tuple(val),
-                weight=_exact_weight(val, event_vars),
+                weight=_exact_weight(val, instance),
                 proven=True,
                 stats=SearchStats(decisions, prop.propagations, elapsed, False),
                 solver_id=config.solver_id,
@@ -748,8 +735,7 @@ def extract_mpmcs(
             cut = trial
     if complete_assignment(instance, cut)[root] <= 0:
         raise InconsistencyError("extracted cut set does not fail the top event")
-    ordered = sorted(cut)
-    ws = [weights[e] for e in ordered]
+    ws = [weights[e] for e in cut]
     log_weight = math.fsum(ws)
     return MpmcsResult(
         cut_set=frozenset(cut),

@@ -24,7 +24,6 @@ from mpmcs.encoding import (
     event_weights,
     format_wcnf,
     to_log_space,
-    tseitin,
 )
 from mpmcs.fault_tree import (
     dualize,
@@ -146,7 +145,8 @@ def test_criterion_4_tseitin_projection(capsys):
         for seed in range(1000, 1000 + n_formulas):
             t = small_random_tree(seed)
             f = to_formula(t)
-            cnf, vm = tseitin(f)
+            inst = build_wcnf(t)
+            cnf, vm = inst.hard, inst.var_map
             models = all_models(cnf)
             projected = project_models(models, vm)
             expected = satisfying_event_sets(f, formula_events(f))

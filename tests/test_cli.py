@@ -129,6 +129,13 @@ def test_check_agrees_on_fire_tree(capsys, fire_path):
     assert report["cut_set"] == ["x1", "x2"]
 
 
+def test_check_budget_exhausted_exits_two(capsys, fire_path):
+    code, out, err = run_cli(capsys, "check", str(fire_path), "--timeout", "1e-6")
+    assert code == 2
+    assert out == ""
+    assert "budget exhausted" in err
+
+
 def test_check_rejects_large_trees(capsys, tmp_path):
     t = random_fault_tree(GeneratorParams(nodes=100, seed=0))
     path = write_tree(tmp_path / "big.json", t)

@@ -6,6 +6,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies
 from helpers import all_models, project_models, satisfying_event_sets, tree
@@ -17,7 +18,6 @@ from mpmcs.encoding import (
     format_wcnf,
     joint_probability,
     to_log_space,
-    tseitin,
 )
 from mpmcs.fault_tree import formula_events, to_formula
 
@@ -68,7 +68,8 @@ def test_cnf_formula_rejects_bad_clauses():
 
 
 def test_tseitin_fire_layout(fire_tree):
-    cnf, vm = tseitin(to_formula(fire_tree))
+    inst = build_wcnf(fire_tree)
+    cnf, vm = inst.hard, inst.var_map
     assert vm.var_of_event == {f"x{i}": i for i in range(1, 8)}
     assert vm.event_of_var[3] == "x3"
     assert vm.aux_vars == frozenset(range(8, 13))
@@ -81,7 +82,8 @@ def test_tseitin_fire_layout(fire_tree):
 
 
 def test_tseitin_on_bare_event():
-    cnf, vm = tseitin(to_formula(tree({"e": 0.4}, top="e")))
+    inst = build_wcnf(tree({"e": 0.4}, top="e"))
+    cnf, vm = inst.hard, inst.var_map
     assert cnf.num_vars == 1
     assert cnf.clauses == ((1,),)
     assert vm.aux_vars == frozenset()
@@ -99,7 +101,8 @@ def test_tseitin_encodes_shared_gate_once():
         },
         top="top",
     )
-    cnf, vm = tseitin(to_formula(t))
+    inst = build_wcnf(t)
+    cnf, vm = inst.hard, inst.var_map
     assert len(vm.aux_vars) == 4  # four distinct gates despite two references
     assert cnf.num_vars == 8
 
@@ -109,7 +112,8 @@ def test_tseitin_encodes_shared_gate_once():
 def test_tseitin_projection_equals_formula_models(t):
     """Projected CNF models are exactly the satisfying event sets, 1:1."""
     f = to_formula(t)
-    cnf, vm = tseitin(f)
+    inst = build_wcnf(t)
+    cnf, vm = inst.hard, inst.var_map
     if cnf.num_vars > 16:
         return
     models = all_models(cnf)
@@ -120,12 +124,53 @@ def test_tseitin_projection_equals_formula_models(t):
     assert len(models) == len(projected)
 
 
+@settings(max_examples=100, deadline=None)
+@given(strategies.fault_trees(max_events=6, shared=True))
+def test_tseitin_projection_equals_formula_models_on_dags(t):
+    """The same 1:1 projection when gates and events are shared."""
+    f = to_formula(t)
+    inst = build_wcnf(t)
+    models = all_models(inst.hard)
+    projected = project_models(models, inst.var_map)
+    assert projected == satisfying_event_sets(f, formula_events(f))
+    assert len(models) == len(projected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(strategies.fault_trees(), strategies.fault_trees(shared=True)))
+def test_one_walk_orders_nodes_and_numbers_variables(t):
+    """``tree.order`` is a topological order, and the encoding numbers by it."""
+    assert sorted(t.order) == sorted(t.nodes)
+    position = {nid: i for i, nid in enumerate(t.order)}
+    for nid in t.gate_ids:
+        assert all(position[c] < position[nid] for c in t.nodes[nid].children)
+    assert t.order[-1] == t.top
+    inst = build_wcnf(t)
+    assert list(inst.var_map.var_of_event) == formula_events(to_formula(t))
+    first_gate = len(inst.var_map.var_of_event) + 1
+    for g, (_, kids) in enumerate(inst.circuit, first_gate):
+        assert all(c < g for c in kids)
+
+
+def test_fire_circuit_numbering(fire_instance):
+    """Gates numbered in DFS finish order; frozen regression."""
+    assert fire_instance.circuit == (
+        (True, (1, 2)),  # detection = x1 AND x2
+        (False, (6, 7)),  # remote = x6 OR x7
+        (True, (5, 9)),  # trigger = x5 AND remote
+        (False, (3, 4, 10)),  # suppression = x3 OR x4 OR trigger
+        (False, (8, 11)),  # system = detection OR suppression
+    )
+    assert fire_instance.var_map.root_var == 12
+
+
 def test_fire_formula_model_count(fire_tree):
     """113 of the 128 event assignments fail the system; frozen regression."""
     f = to_formula(fire_tree)
     expected = satisfying_event_sets(f, formula_events(f))
     assert len(expected) == 113
-    cnf, vm = tseitin(f)
+    inst = build_wcnf(fire_tree)
+    cnf, vm = inst.hard, inst.var_map
     models = all_models(cnf)
     assert len(models) == 113
     assert project_models(models, vm) == expected
