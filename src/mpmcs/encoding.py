@@ -41,16 +41,11 @@ class CnfFormula:
 
 @dataclass(frozen=True)
 class VarMap:
-    """Bookkeeping between event ids, CNF variables, and Tseitin auxiliaries."""
+    """Event id <-> event variable maps, and the variable of the top node."""
 
     var_of_event: dict[str, int]
     event_of_var: dict[int, str]
-    aux_vars: frozenset[int]
     root_var: int
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.var_of_event) + len(self.aux_vars)
 
 
 # Event id -> strictly positive, finite log-space weight.
@@ -81,9 +76,6 @@ class WcnfInstance:
     var_map: VarMap
     circuit: Circuit
     tree_shaped: bool
-
-    def soft_weight_of_var(self) -> dict[int, float]:
-        return dict(self.soft)
 
 
 def to_log_space(p: float) -> float:
@@ -153,17 +145,15 @@ def build_wcnf(tree: FaultTree) -> WcnfInstance:
     root_var = var_of[tree.top]
     clauses.append((root_var,))
 
-    num_vars = num_events + len(circuit)
     var_of_event = {nid: v for nid, v in var_of.items() if v <= num_events}
     var_map = VarMap(
         var_of_event=var_of_event,
         event_of_var={v: e for e, v in var_of_event.items()},
-        aux_vars=frozenset(range(num_events + 1, num_vars + 1)),
         root_var=root_var,
     )
     children = [c for _, kids in circuit for c in kids]
     return WcnfInstance(
-        hard=CnfFormula(num_vars=num_vars, clauses=tuple(clauses)),
+        hard=CnfFormula(num_vars=num_events + len(circuit), clauses=tuple(clauses)),
         soft=tuple(soft),
         var_map=var_map,
         circuit=tuple(circuit),

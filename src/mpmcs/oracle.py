@@ -70,8 +70,9 @@ def enumerate_mcs(tree: FaultTree) -> list[CutSet]:
 def oracle_mpmcs(tree: FaultTree) -> MpmcsResult:
     """Best minimal cut set as an MpmcsResult with solver_id "oracle".
 
-    The log weight is summed over event ids in sorted order, matching the
-    solvers' summation order so equal sets compare bit-for-bit equal.
+    The log weight is a ``math.fsum`` of the members' weights, as in the
+    solvers; ``fsum`` rounds the exact sum once, so equal sets compare
+    bit-for-bit equal whatever order the terms come in.
     """
     start = time.perf_counter()
     cut_sets = enumerate_mcs(tree)

@@ -43,6 +43,8 @@ from .fault_tree import FaultTree
 PRUNE_EPS = 1e-12
 # Seconds a losing portfolio worker may take to stop once a winner reports.
 GRACE_PERIOD = 0.1
+# Best-first frontier size beyond which the search gives up (memory guard).
+FRONTIER_LIMIT = 500_000
 # Relative weight difference within which two optima count as tied.
 TIE_REL_TOL = 1e-9
 
@@ -52,7 +54,7 @@ class UnsatisfiableError(RuntimeError):
 
 
 class FrontierLimitError(RuntimeError):
-    """Best-first frontier outgrew its configured cap."""
+    """Best-first frontier outgrew ``FRONTIER_LIMIT`` states."""
 
 
 class InconsistencyError(RuntimeError):
@@ -85,7 +87,6 @@ class Strategy(Enum):
 class VarOrder(Enum):
     DESCENDING_WEIGHT = "desc"
     ASCENDING_WEIGHT = "asc"
-    INPUT = "input"
 
 
 @dataclass(frozen=True)
@@ -93,16 +94,10 @@ class SolverConfig:
     strategy: Strategy = Strategy.BRANCH_AND_BOUND
     var_order: VarOrder = VarOrder.DESCENDING_WEIGHT
     time_budget: float = 60.0
-    # Extras beyond the basic contract, all defaulted:
-    use_lower_bound: bool = True  # admissible residual bound in branch and bound
-    warm_start: bool = True  # greedy tree solution seeds the incumbent
-    frontier_limit: int = 500_000  # best-first queue cap
 
     def __post_init__(self):
         if self.time_budget <= 0:
             raise ValueError("time budget must be positive")
-        if self.frontier_limit < 1:
-            raise ValueError("frontier limit must be positive")
 
     @property
     def solver_id(self) -> str:
@@ -307,12 +302,9 @@ def _decision_order(instance: WcnfInstance, config: SolverConfig) -> list[int]:
     """Event variables in the configured branching order."""
     entries = sorted(instance.var_map.var_of_event.items())  # by event id
     weight = dict(instance.soft)
-    if config.var_order is VarOrder.DESCENDING_WEIGHT:
-        entries.sort(key=lambda ev: -weight[ev[1]])
-    elif config.var_order is VarOrder.ASCENDING_WEIGHT:
-        entries.sort(key=lambda ev: weight[ev[1]])
-    else:
-        entries.sort(key=lambda ev: ev[1])
+    # Stable either way: equal weights keep event-id order.
+    entries.sort(key=lambda ev: weight[ev[1]],
+                 reverse=config.var_order is VarOrder.DESCENDING_WEIGHT)
     return [var for _, var in entries]
 
 
@@ -349,51 +341,18 @@ def complete_assignment(
     return tuple(val)
 
 
-def _greedy_tree_events(
-    instance: WcnfInstance, weight: Sequence[float]
-) -> frozenset[str]:
-    """Cheapest event set satisfying the formula, by the obvious tree walk.
-
-    Exact on tree-shaped inputs; on shared (DAG) inputs the cost used to
-    pick OR branches may double-count shared events, so the result is
-    just a feasible warm start there.  ``weight`` is indexed by variable.
-    """
-    event_of_var = instance.var_map.event_of_var
-    first_gate = len(event_of_var) + 1
-    cost = list(weight)
-    for g, (is_and, kids) in enumerate(instance.circuit, first_gate):
-        child_costs = [cost[c] for c in kids]
-        cost[g] = math.fsum(child_costs) if is_and else min(child_costs)
-
-    chosen: set[str] = set()
-    seen: set[int] = set()
-    walk = [instance.var_map.root_var]
-    while walk:
-        v = walk.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        if v < first_gate:
-            chosen.add(event_of_var[v])
-            continue
-        is_and, kids = instance.circuit[v - first_gate]
-        if is_and:
-            walk.extend(kids)
-        else:
-            walk.append(min(kids, key=cost.__getitem__))
-    return frozenset(chosen)
-
-
 def _residual_bound(
     instance: WcnfInstance, val: Sequence[int], weight: Sequence[float]
-) -> float:
-    """Admissible lower bound on the extra weight any completion must pay.
+) -> list[float]:
+    """Admissible lower bound, per variable, on the extra weight to make it true.
 
-    Evaluates the circuit under the current assignment: a true event or
-    gate costs nothing more, a false one can no longer provide support,
-    an open event costs its weight.  AND combines children by sum on
-    tree-shaped instances (each event appears once) and by max under
-    sharing, which never overestimates.  ``weight`` is indexed by variable.
+    Evaluates the circuit under the current assignment: a true event
+    costs nothing more, a false event or gate can no longer provide
+    support, an open event costs its weight.  AND combines children by
+    sum on tree-shaped instances (each event appears once) and by max
+    under sharing, which never overestimates.  Entry ``root_var`` bounds
+    the whole completion; on a tree it is exact.  ``weight`` is indexed
+    by variable.
     """
     first_gate = len(instance.var_map.var_of_event) + 1
     bound = [
@@ -407,7 +366,24 @@ def _residual_bound(
         else:
             child_bounds = [bound[c] for c in kids]
             bound.append(combine(child_bounds) if is_and else min(child_bounds))
-    return bound[instance.var_map.root_var]
+    return bound
+
+
+def _cheapest_events(instance: WcnfInstance, bound: Sequence[float]) -> list[str]:
+    """Events reached from the root through every AND child and, at each
+    OR, the child with the least ``bound``: an optimal completion on a
+    tree, a feasible guess under sharing."""
+    event_of_var = instance.var_map.event_of_var
+    first_gate = len(event_of_var) + 1
+    seen: set[int] = set()
+    walk = [instance.var_map.root_var]
+    while walk:
+        v = walk.pop()
+        if v >= first_gate and v not in seen:
+            is_and, kids = instance.circuit[v - first_gate]
+            walk.extend(kids if is_and else (min(kids, key=bound.__getitem__),))
+        seen.add(v)
+    return [event_of_var[v] for v in seen if v < first_gate]
 
 
 def _prune_slack(incumbent: float) -> float:
@@ -430,10 +406,13 @@ def solve_branch_and_bound(
 ) -> Solution:
     """Depth-first search over event variables with incumbent pruning.
 
-    Events are branched preferred-value-first (absent).  Auxiliary
-    variables are never decided; the biconditional clauses force them
-    once the events settle.  Exhausting the tree proves optimality;
-    running out of budget returns the incumbent unproven.
+    The incumbent starts from a walk of the root-level ``_residual_bound``
+    table (optimal on trees, so those prove with no decisions), and each
+    node is pruned when its cost plus that same bound cannot beat the
+    incumbent.  Events are branched preferred-value-first (absent).
+    Auxiliary variables are never decided; the biconditional clauses
+    force them once the events settle.  Exhausting the tree proves
+    optimality; running out of budget returns the incumbent unproven.
     """
     start = time.perf_counter()
     deadline = start + config.time_budget
@@ -446,14 +425,14 @@ def solve_branch_and_bound(
 
     incumbent: Optional[tuple[int, ...]] = None
     incumbent_w = math.inf
-    if config.warm_start:
-        warm = complete_assignment(instance, _greedy_tree_events(instance, prop.weight))
-        # Extra hard clauses (e.g. blocking) can invalidate the greedy set.
-        if _satisfies(instance.hard.clauses, warm):
-            incumbent = warm
-            incumbent_w = _exact_weight(warm, instance)
+    root_bound = _residual_bound(instance, prop.val, prop.weight)
+    warm = complete_assignment(instance, _cheapest_events(instance, root_bound))
+    # Blocking clauses over several events can rule the walked set out.
+    if _satisfies(instance.hard.clauses, warm):
+        incumbent = warm
+        incumbent_w = _exact_weight(warm, instance)
 
-    use_bound = config.use_lower_bound
+    root = instance.var_map.root_var
     stack: list[list] = []  # [var, tried_true]
     cancelled = False
 
@@ -472,9 +451,9 @@ def solve_branch_and_bound(
             threshold = incumbent_w - _prune_slack(incumbent_w)
             if prop.cost >= threshold:
                 conflict = True
-            elif use_bound and prop.cost + _residual_bound(
+            elif prop.cost + _residual_bound(
                 instance, prop.val, prop.weight
-            ) >= threshold:
+            )[root] >= threshold:
                 conflict = True
         if not conflict:
             var = next((v for v in order if prop.val[v] == 0), None)
@@ -594,9 +573,9 @@ def solve_best_first(
                 heapq.heappush(
                     heap, (prop.cost, next(tie), path + ((var, value),))
                 )
-                if len(heap) > config.frontier_limit:
+                if len(heap) > FRONTIER_LIMIT:
                     raise FrontierLimitError(
-                        f"frontier exceeded {config.frontier_limit} states"
+                        f"frontier exceeded {FRONTIER_LIMIT} states"
                     )
             prop.backtrack(base)
     else:

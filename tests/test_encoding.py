@@ -72,13 +72,12 @@ def test_tseitin_fire_layout(fire_tree):
     cnf, vm = inst.hard, inst.var_map
     assert vm.var_of_event == {f"x{i}": i for i in range(1, 8)}
     assert vm.event_of_var[3] == "x3"
-    assert vm.aux_vars == frozenset(range(8, 13))
-    assert vm.num_vars == 12
+    assert len(inst.circuit) == 5
     assert cnf.num_vars == 12
     # One aux per gate, full biconditional, one root unit.
     assert len(cnf.clauses) == 17
     assert cnf.clauses[-1] == (vm.root_var,)
-    assert vm.root_var in vm.aux_vars
+    assert vm.root_var > len(vm.var_of_event)
 
 
 def test_tseitin_on_bare_event():
@@ -86,7 +85,7 @@ def test_tseitin_on_bare_event():
     cnf, vm = inst.hard, inst.var_map
     assert cnf.num_vars == 1
     assert cnf.clauses == ((1,),)
-    assert vm.aux_vars == frozenset()
+    assert len(inst.circuit) == 0
     assert vm.root_var == 1
 
 
@@ -102,9 +101,8 @@ def test_tseitin_encodes_shared_gate_once():
         top="top",
     )
     inst = build_wcnf(t)
-    cnf, vm = inst.hard, inst.var_map
-    assert len(vm.aux_vars) == 4  # four distinct gates despite two references
-    assert cnf.num_vars == 8
+    assert len(inst.circuit) == 4  # four distinct gates despite two references
+    assert inst.hard.num_vars == 8
 
 
 @settings(max_examples=100, deadline=None)
@@ -185,7 +183,7 @@ def test_build_wcnf_fire(fire_tree, fire_instance, fire_weights):
     for var, w in inst.soft:
         eid = inst.var_map.event_of_var[var]
         assert w == pytest.approx(fire_weights[eid])
-    assert inst.soft_weight_of_var()[1] == pytest.approx(to_log_space(0.2))
+    assert dict(inst.soft)[1] == pytest.approx(to_log_space(0.2))
 
 
 def test_build_wcnf_flags_sharing():

@@ -10,13 +10,15 @@ import threading
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies
 from helpers import is_minimal_cut, small_random_tree, tree
+from mpmcs import solver
 from mpmcs.encoding import CnfFormula, build_wcnf, event_weights
 from mpmcs.fault_tree import evaluate, to_formula
 from mpmcs.generator import GeneratorParams, random_fault_tree
-from mpmcs.oracle import oracle_mpmcs
+from mpmcs.oracle import enumerate_mcs, oracle_mpmcs
 from mpmcs.solver import (
     PRUNE_EPS,
     FrontierLimitError,
@@ -44,8 +46,6 @@ from mpmcs.solver import (
 ALL_CONFIGS = [
     SolverConfig(strategy=Strategy.BRANCH_AND_BOUND, var_order=VarOrder.DESCENDING_WEIGHT),
     SolverConfig(strategy=Strategy.BRANCH_AND_BOUND, var_order=VarOrder.ASCENDING_WEIGHT),
-    SolverConfig(strategy=Strategy.BRANCH_AND_BOUND, var_order=VarOrder.INPUT,
-                 warm_start=False, use_lower_bound=False),
     SolverConfig(strategy=Strategy.BEST_FIRST, var_order=VarOrder.ASCENDING_WEIGHT),
     SolverConfig(strategy=Strategy.BEST_FIRST, var_order=VarOrder.DESCENDING_WEIGHT),
 ]
@@ -138,8 +138,7 @@ def test_propagator_all_clauses_satisfied():
 # Strategy correctness
 
 
-@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.solver_id + (
-    "" if c.warm_start else "-bare"))
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.solver_id)
 def test_fire_tree_all_configs(fire_instance, fire_weights, config):
     sol = _solve(fire_instance, config)
     assert sol.proven
@@ -174,7 +173,7 @@ def _assert_strategies_match_oracle(t):
             assert circuit_says == evaluate(formula, {e: True for e in chosen}), chosen
     prop = Propagator(instance.hard, dict(instance.soft))
     assert prop.assert_units()
-    bound = _residual_bound(instance, prop.val, prop.weight)
+    bound = _residual_bound(instance, prop.val, prop.weight)[root]
     assert prop.cost + bound <= want.log_weight + PRUNE_EPS
     for config in ALL_CONFIGS:
         sol = _solve(instance, config)
@@ -207,8 +206,8 @@ def test_weights_below_prune_eps():
         assert res.log_weight == pytest.approx(want.log_weight, rel=1e-9, abs=0)
 
 
-def test_instance_survives_deepcopy_and_pickle():
-    t = tree(
+def _four_event_dag():
+    return tree(
         {
             "top": ("or", ["g1", "g2", "g3"]),
             "g1": ("and", ["a", "b"]),
@@ -218,7 +217,10 @@ def test_instance_survives_deepcopy_and_pickle():
         },
         top="top",
     )
-    instance = build_wcnf(t)
+
+
+def test_instance_survives_deepcopy_and_pickle():
+    instance = build_wcnf(_four_event_dag())
     assert not instance.tree_shaped
     want = solve_branch_and_bound(instance, SolverConfig())
     for clone in (copy.deepcopy(instance), pickle.loads(pickle.dumps(instance))):
@@ -242,20 +244,48 @@ def test_repeat_solves_are_bit_identical():
         assert res.cut_set == baseline.cut_set
 
 
-def test_bound_and_warm_start_do_not_change_the_answer():
+def test_strategies_match_oracle_on_small_random_trees():
     for seed in range(8):
-        t = small_random_tree(seed, max_nodes=20)
-        instance = build_wcnf(t)
-        weights = event_weights(t)
-        results = set()
-        for warm in (False, True):
-            for bound in (False, True):
-                cfg = SolverConfig(warm_start=warm, use_lower_bound=bound)
-                res = extract_mpmcs(
-                    solve_branch_and_bound(instance, cfg), instance, weights
-                )
-                results.add(res.log_weight)
-        assert len(results) == 1, f"seed {seed} diverged: {results}"
+        _assert_strategies_match_oracle(small_random_tree(seed, max_nodes=20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.fault_trees(max_events=7), st.data())
+def test_warm_start_is_optimal_with_events_blocked(t, data):
+    """Unit-blocked events are false at the root; on a tree the walk of
+    the root bound table is still the optimum, so nothing is searched."""
+    blocked = data.draw(st.sets(st.sampled_from(sorted(t.event_ids))))
+    instance = build_wcnf(t)
+    for eid in sorted(blocked):
+        instance = add_blocking_clause(instance, frozenset({eid}))
+    allowed = [cs for cs in enumerate_mcs(t) if not cs.events & blocked]
+    if not allowed:
+        with pytest.raises(UnsatisfiableError):
+            solve_branch_and_bound(instance, SolverConfig())
+        return
+    sol = solve_branch_and_bound(instance, SolverConfig())
+    assert sol.proven
+    assert sol.stats.decisions == 0
+    weights = event_weights(t)
+    want = math.fsum(weights[e] for e in allowed[0].events)  # most probable first
+    assert sol.weight == pytest.approx(want, rel=1e-9, abs=0)
+
+
+def test_warm_start_skips_blocked_single_event():
+    t = tree(
+        {
+            "top": ("or", ["a", "b", "g"]),
+            "g": ("and", ["c", "d"]),
+            "a": 0.25, "b": 0.25, "c": 0.4, "d": 0.4,
+        },
+        top="top",
+    )
+    instance = add_blocking_clause(build_wcnf(t), frozenset({"a"}))
+    sol = solve_branch_and_bound(instance, SolverConfig())
+    assert sol.proven
+    assert sol.stats.decisions == 0
+    res = extract_mpmcs(sol, instance, event_weights(t))
+    assert res.cut_set == frozenset({"b"})
 
 
 def test_weight_recomputed_matches_soft_sum(fire_instance):
@@ -299,8 +329,9 @@ def test_pre_set_cancel_flag_stops_both(fire_instance):
         assert sol.stats.cancelled
 
 
-def test_frontier_limit_raises(fire_instance):
-    cfg = SolverConfig(strategy=Strategy.BEST_FIRST, frontier_limit=1)
+def test_frontier_limit_raises(fire_instance, monkeypatch):
+    monkeypatch.setattr(solver, "FRONTIER_LIMIT", 1)
+    cfg = SolverConfig(strategy=Strategy.BEST_FIRST)
     with pytest.raises(FrontierLimitError):
         solve_best_first(fire_instance, cfg)
 
@@ -335,10 +366,9 @@ def test_branch_costs_grow_along_paths():
     assert decisions > 2, "search must have explored below the root"
 
 
-def test_stats_are_populated(fire_instance):
-    sol = solve_branch_and_bound(
-        fire_instance, SolverConfig(warm_start=False, use_lower_bound=False)
-    )
+def test_stats_are_populated():
+    # Trees prove with 0 decisions; this DAG needs a little search.
+    sol = solve_branch_and_bound(build_wcnf(_four_event_dag()), SolverConfig())
     assert sol.stats.decisions > 0
     assert sol.stats.propagations > 0
     assert sol.stats.elapsed > 0.0
@@ -423,20 +453,21 @@ def test_portfolio_reports_cancelled_losers():
         assert r.within_grace
 
 
-def test_portfolio_all_errors_aggregate(fire_instance):
+def test_portfolio_all_errors_aggregate(fire_instance, monkeypatch):
+    monkeypatch.setattr(solver, "FRONTIER_LIMIT", 1)
     configs = [
-        SolverConfig(strategy=Strategy.BEST_FIRST, frontier_limit=1),
-        SolverConfig(strategy=Strategy.BEST_FIRST, var_order=VarOrder.ASCENDING_WEIGHT,
-                     frontier_limit=1),
+        SolverConfig(strategy=Strategy.BEST_FIRST),
+        SolverConfig(strategy=Strategy.BEST_FIRST, var_order=VarOrder.ASCENDING_WEIGHT),
     ]
     with pytest.raises(PortfolioError) as info:
         solve_portfolio(fire_instance, configs)
     assert len(info.value.errors) == 2
 
 
-def test_portfolio_survives_one_failing_worker(fire_instance, fire_weights):
+def test_portfolio_survives_one_failing_worker(fire_instance, fire_weights, monkeypatch):
+    monkeypatch.setattr(solver, "FRONTIER_LIMIT", 1)
     configs = [
-        SolverConfig(strategy=Strategy.BEST_FIRST, frontier_limit=1),
+        SolverConfig(strategy=Strategy.BEST_FIRST),
         SolverConfig(),
     ]
     sol = solve_portfolio(fire_instance, configs)
@@ -542,8 +573,6 @@ def test_config_validation():
         SolverConfig(time_budget=0.0)
     with pytest.raises(ValueError):
         SolverConfig(time_budget=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(frontier_limit=0)
 
 
 def test_solver_ids():
@@ -551,4 +580,3 @@ def test_solver_ids():
     assert SolverConfig(
         strategy=Strategy.BEST_FIRST, var_order=VarOrder.ASCENDING_WEIGHT
     ).solver_id == "bestfirst-asc"
-    assert SolverConfig(var_order=VarOrder.INPUT).solver_id == "bnb-input"
