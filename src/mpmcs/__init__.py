@@ -18,21 +18,16 @@ from .encoding import (
     to_log_space,
 )
 from .fault_tree import (
-    And,
     Assignment,
     BasicEvent,
     FaultTree,
     FaultTreeError,
     Gate,
     GateOp,
-    Or,
-    Var,
     dualize,
     evaluate,
-    formula_events,
     parse_fault_tree,
     serialize_fault_tree,
-    to_formula,
 )
 from .generator import GeneratorParams, random_fault_tree
 from .oracle import CutSet, enumerate_mcs, oracle_mpmcs
@@ -58,7 +53,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "And",
     "Assignment",
     "BasicEvent",
     "CnfFormula",
@@ -70,13 +64,11 @@ __all__ = [
     "GeneratorParams",
     "MpmcsResult",
     "OptimaTimeoutError",
-    "Or",
     "SearchStats",
     "Solution",
     "SolverConfig",
     "Strategy",
     "UnsatisfiableError",
-    "Var",
     "VarMap",
     "VarOrder",
     "WcnfInstance",
@@ -91,7 +83,6 @@ __all__ = [
     "event_weights",
     "extract_mpmcs",
     "format_wcnf",
-    "formula_events",
     "joint_probability",
     "oracle_mpmcs",
     "parse_fault_tree",
@@ -100,7 +91,6 @@ __all__ = [
     "solve_best_first",
     "solve_branch_and_bound",
     "solve_portfolio",
-    "to_formula",
     "to_log_space",
     "__version__",
 ]

@@ -6,17 +6,18 @@ probability in the open interval (0, 1).  Sharing of nodes (DAG shape) is
 allowed as long as the graph stays acyclic and everything is reachable
 from the top event.
 
-The tree translates into a positive-literal Boolean formula (``Var`` /
-``And`` / ``Or``); complementation is expressed purely by flipping gates
-(``dualize``), never by negation nodes.
+The tree itself is the failure formula: ``evaluate`` reads it with
+Boolean semantics in one pass over ``FaultTree.order``.  Complementation
+is expressed purely by flipping gates (``dualize``), never by negation
+nodes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 
 class FaultTreeError(ValueError):
@@ -76,28 +77,6 @@ class FaultTree:
             if isinstance(n, BasicEvent)
         }
 
-
-# Boolean formulas.  All leaves are positive; And/Or carry >= 1 child.
-# Shared subtrees are represented by shared objects, which keeps derived
-# encodings linear for DAG-shaped trees.
-
-
-@dataclass(frozen=True)
-class Var:
-    event: str
-
-
-@dataclass(frozen=True)
-class And:
-    children: tuple["BooleanFormula", ...]
-
-
-@dataclass(frozen=True)
-class Or:
-    children: tuple["BooleanFormula", ...]
-
-
-BooleanFormula = Union[Var, And, Or]
 
 # Event id -> truth value; ids absent from the mapping count as False.
 Assignment = Mapping[str, bool]
@@ -239,93 +218,30 @@ def serialize_fault_tree(tree: FaultTree) -> str:
     return json.dumps({"name": tree.name, "top": tree.top, "nodes": out}, indent=2)
 
 
-def to_formula(tree: FaultTree) -> BooleanFormula:
-    """Structure-preserving translation of the tree rooted at ``top``.
+def dualize(tree: FaultTree) -> FaultTree:
+    """The same tree with every AND gate made OR and every OR gate made AND.
 
-    Shared tree nodes become shared formula objects, so the result is a
-    DAG whenever the tree is.
+    Name, top, node ids, child order and probabilities are kept.  Reading
+    each event as its complement (the event does not occur), the result is
+    the success tree: by De Morgan its top holds exactly when the original
+    top fails to.  The operation is an involution.
     """
-    built: dict[str, BooleanFormula] = {}
+    swapped = {GateOp.AND: GateOp.OR, GateOp.OR: GateOp.AND}
+    nodes = {
+        nid: replace(node, op=swapped[node.op]) if isinstance(node, Gate) else node
+        for nid, node in tree.nodes.items()
+    }
+    return FaultTree(name=tree.name, nodes=nodes, top=tree.top)
+
+
+def evaluate(tree: FaultTree, assignment: Assignment) -> bool:
+    """Whether the top event occurs; events missing from ``assignment`` are False."""
+    value: dict[str, bool] = {}
     for nid in tree.order:
         node = tree.nodes[nid]
         if isinstance(node, BasicEvent):
-            built[nid] = Var(nid)
+            value[nid] = bool(assignment.get(nid, False))
         else:
-            parts = tuple(built[c] for c in node.children)
-            built[nid] = And(parts) if node.op is GateOp.AND else Or(parts)
-    return built[tree.top]
-
-
-def _post_order(formula: BooleanFormula, leaf: Callable, gate: Callable):
-    """Fold ``formula`` bottom-up, each shared node once; return the root's value.
-
-    ``leaf(var)`` values a ``Var``; ``gate(is_and, child_values)`` values a
-    gate once all its children have values, passed in their listed order.
-    Nodes are reached in one fixed post-order: the stack takes a gate's
-    last pending child first, so for ``And(Or(a, b), Or(c, d))`` the fold
-    visits ``d, c, Or(c, d), b, a, Or(a, b)``, then the ``And``.  Shared
-    nodes are keyed by identity.
-    """
-    value: dict[int, object] = {}
-    stack = [formula]
-    while stack:
-        node = stack[-1]
-        key = id(node)
-        if key in value:
-            stack.pop()
-            continue
-        if isinstance(node, Var):
-            value[key] = leaf(node)
-            stack.pop()
-            continue
-        pending = [c for c in node.children if id(c) not in value]
-        if pending:
-            stack.extend(pending)
-            continue
-        parts = [value[id(c)] for c in node.children]
-        value[key] = gate(isinstance(node, And), parts)
-        stack.pop()
-    return value[id(formula)]
-
-
-def dualize(formula: BooleanFormula) -> BooleanFormula:
-    """Swap every And for Or and vice versa, leaving Var leaves as they are.
-
-    Applied to the failure formula this yields the success-tree reading in
-    which each leaf stands for the complement of its event; the operation
-    is an involution.
-    """
-    return _post_order(
-        formula,
-        lambda var: var,
-        lambda is_and, parts: Or(tuple(parts)) if is_and else And(tuple(parts)),
-    )
-
-
-def evaluate(formula: BooleanFormula, assignment: Assignment) -> bool:
-    """Standard Boolean semantics; events missing from ``assignment`` are False."""
-    return _post_order(
-        formula,
-        lambda var: bool(assignment.get(var.event, False)),
-        lambda is_and, parts: all(parts) if is_and else any(parts),
-    )
-
-
-def formula_events(formula: BooleanFormula) -> list[str]:
-    """Distinct event ids in first-appearance (depth-first, left-to-right) order."""
-    seen: set[int] = set()
-    order: list[str] = []
-    named: set[str] = set()
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Var):
-            if node.event not in named:
-                named.add(node.event)
-                order.append(node.event)
-        else:
-            stack.extend(reversed(node.children))
-    return order
+            parts = (value[c] for c in node.children)
+            value[nid] = all(parts) if node.op is GateOp.AND else any(parts)
+    return value[tree.top]

@@ -13,8 +13,8 @@ import time
 from dataclasses import dataclass
 from math import fsum, prod
 
-from .encoding import joint_probability, to_log_space
-from .fault_tree import FaultTree, evaluate, to_formula
+from .encoding import event_weights, joint_probability
+from .fault_tree import FaultTree, evaluate
 from .solver import MpmcsResult
 
 MAX_ORACLE_EVENTS = 20
@@ -39,13 +39,12 @@ def enumerate_mcs(tree: FaultTree) -> list[CutSet]:
             f"{n} basic events exceed the {MAX_ORACLE_EVENTS}-event oracle cap"
         )
     probs = tree.probabilities()
-    formula = to_formula(tree)
 
     satisfying: list[int] = []
     sat_lookup = set()
     for mask in range(1 << n):
         assignment = {event_ids[i]: True for i in range(n) if mask >> i & 1}
-        if evaluate(formula, assignment):
+        if evaluate(tree, assignment):
             satisfying.append(mask)
             sat_lookup.add(mask)
 
@@ -77,7 +76,8 @@ def oracle_mpmcs(tree: FaultTree) -> MpmcsResult:
     start = time.perf_counter()
     cut_sets = enumerate_mcs(tree)
     best = cut_sets[0]
-    weights = event_weights_sorted(tree, best.events)
+    weight_of = event_weights(tree)
+    weights = [weight_of[e] for e in best.events]
     log_weight = fsum(weights)
     return MpmcsResult(
         cut_set=best.events,
@@ -86,8 +86,3 @@ def oracle_mpmcs(tree: FaultTree) -> MpmcsResult:
         solver_id="oracle",
         elapsed=time.perf_counter() - start,
     )
-
-
-def event_weights_sorted(tree: FaultTree, events: frozenset[str]) -> list[float]:
-    probs = tree.probabilities()
-    return [to_log_space(probs[e]) for e in sorted(events)]

@@ -425,8 +425,8 @@ def solve_branch_and_bound(
 
     incumbent: Optional[tuple[int, ...]] = None
     incumbent_w = math.inf
-    root_bound = _residual_bound(instance, prop.val, prop.weight)
-    warm = complete_assignment(instance, _cheapest_events(instance, root_bound))
+    bound: Optional[list[float]] = _residual_bound(instance, prop.val, prop.weight)
+    warm = complete_assignment(instance, _cheapest_events(instance, bound))
     # Blocking clauses over several events can rule the walked set out.
     if _satisfies(instance.hard.clauses, warm):
         incumbent = warm
@@ -451,10 +451,12 @@ def solve_branch_and_bound(
             threshold = incumbent_w - _prune_slack(incumbent_w)
             if prop.cost >= threshold:
                 conflict = True
-            elif prop.cost + _residual_bound(
-                instance, prop.val, prop.weight
-            )[root] >= threshold:
-                conflict = True
+            else:
+                # The warm start's root table serves the first pass only.
+                if bound is None:
+                    bound = _residual_bound(instance, prop.val, prop.weight)
+                conflict = prop.cost + bound[root] >= threshold
+                bound = None
         if not conflict:
             var = next((v for v in order if prop.val[v] == 0), None)
             if var is None:
@@ -693,9 +695,12 @@ def extract_mpmcs(
 ) -> MpmcsResult:
     """Read the cut set off a solution and certify it.
 
-    The set-minimality sweep tries to drop members heaviest-first.  With
-    strictly positive weights and an optimal solution it never fires, but
-    it runs unconditionally as a safety net for incumbents.
+    The set-minimality sweep tries to drop members heaviest-first.  It
+    trims unproven incumbents, and proven solutions too: the search's
+    relative prune slack cannot tell apart two models whose weights
+    differ by less than ``PRUNE_EPS`` times the incumbent, so an optimal
+    solution may carry a redundant member lighter than that, such as an
+    event whose probability is that close to 1.
     """
     if solution.assignment is None:
         raise ValueError("solution carries no model to extract from")

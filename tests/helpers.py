@@ -1,8 +1,9 @@
 """Shared test utilities: compact tree builders and exhaustive checkers.
 
 Everything here is deliberately independent of the search code it is
-used to judge; correctness checks go through plain formula evaluation
-and bitmask enumeration only.
+used to judge; correctness checks go through direct evaluation of the
+fault tree (``evaluate``, which reads gate types and child ids, never
+the compiled circuit) and bitmask enumeration only.
 """
 
 from __future__ import annotations
@@ -10,14 +11,7 @@ from __future__ import annotations
 import random
 
 from mpmcs.encoding import CnfFormula, VarMap
-from mpmcs.fault_tree import (
-    BasicEvent,
-    BooleanFormula,
-    FaultTree,
-    Gate,
-    GateOp,
-    evaluate,
-)
+from mpmcs.fault_tree import BasicEvent, FaultTree, Gate, GateOp, evaluate
 from mpmcs.generator import GeneratorParams, random_fault_tree
 
 # Worked example: probabilities and their log-space weights.
@@ -50,15 +44,14 @@ def small_random_tree(seed: int, max_nodes: int = 13) -> FaultTree:
     return random_fault_tree(GeneratorParams(nodes=nodes, seed=seed))
 
 
-def satisfying_event_sets(
-    formula: BooleanFormula, event_ids: list[str]
-) -> set[frozenset[str]]:
-    """All event subsets that satisfy ``formula``, by direct evaluation."""
+def satisfying_event_sets(t: FaultTree) -> set[frozenset[str]]:
+    """All event subsets that fail the top of ``t``, by direct evaluation."""
     out = set()
+    event_ids = t.event_ids
     n = len(event_ids)
     for mask in range(1 << n):
         chosen = frozenset(event_ids[i] for i in range(n) if mask >> i & 1)
-        if evaluate(formula, {e: True for e in chosen}):
+        if evaluate(t, {e: True for e in chosen}):
             out.add(chosen)
     return out
 
@@ -101,12 +94,12 @@ def project_models(models: list[int], var_map: VarMap) -> set[frozenset[str]]:
     return out
 
 
-def is_minimal_cut(formula: BooleanFormula, events: frozenset[str]) -> bool:
-    """Satisfies the formula, and no single drop still does."""
-    if not evaluate(formula, {e: True for e in events}):
+def is_minimal_cut(t: FaultTree, events: frozenset[str]) -> bool:
+    """Fails the top of ``t``, and no single drop still does."""
+    if not evaluate(t, {e: True for e in events}):
         return False
     for e in events:
         rest = events - {e}
-        if evaluate(formula, {x: True for x in rest}):
+        if evaluate(t, {x: True for x in rest}):
             return False
     return True

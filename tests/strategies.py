@@ -1,10 +1,10 @@
-"""Hypothesis strategies for fault trees and boolean formulas."""
+"""Hypothesis strategies for fault trees and their probabilities."""
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from mpmcs.fault_tree import And, BasicEvent, FaultTree, Gate, GateOp, Or, Var
+from mpmcs.fault_tree import BasicEvent, FaultTree, Gate, GateOp
 
 probabilities = st.floats(
     min_value=0.001, max_value=0.999, allow_nan=False, allow_infinity=False
@@ -56,13 +56,3 @@ def fault_trees(draw, max_events: int = 8, shared: bool = False) -> FaultTree:
         nodes[gid] = Gate(gid, op, tuple(children))
     return FaultTree(name="hypo", nodes=nodes, top=open_ids[0])
 
-
-_leaves = st.sampled_from([Var(f"e{i}") for i in range(1, 7)])
-
-
-def _branch(children: st.SearchStrategy) -> st.SearchStrategy:
-    tuples = st.lists(children, min_size=1, max_size=4).map(tuple)
-    return st.one_of(tuples.map(And), tuples.map(Or))
-
-
-formulas = st.recursive(_leaves, _branch, max_leaves=12)

@@ -25,13 +25,7 @@ from mpmcs.encoding import (
     format_wcnf,
     to_log_space,
 )
-from mpmcs.fault_tree import (
-    dualize,
-    formula_events,
-    parse_fault_tree,
-    serialize_fault_tree,
-    to_formula,
-)
+from mpmcs.fault_tree import dualize, parse_fault_tree, serialize_fault_tree
 from mpmcs.generator import GeneratorParams, random_fault_tree
 from mpmcs.oracle import oracle_mpmcs
 from mpmcs.solver import (
@@ -110,7 +104,6 @@ def test_criterion_3_oracle_equivalence(capsys):
             t = small_random_tree(seed)
             instance = build_wcnf(t)
             weights = event_weights(t)
-            formula = to_formula(t)
             want = oracle_mpmcs(t)
             for config in STRATEGY_MATRIX:
                 sol = _solve(instance, config)
@@ -124,7 +117,7 @@ def test_criterion_3_oracle_equivalence(capsys):
                         f"seed {seed} {config.solver_id}: weight "
                         f"{res.log_weight!r} != oracle {want.log_weight!r}"
                     )
-                if not is_minimal_cut(formula, res.cut_set):
+                if not is_minimal_cut(t, res.cut_set):
                     failures.append(
                         f"seed {seed} {config.solver_id}: "
                         f"{sorted(res.cut_set)} is not a minimal cut set"
@@ -144,12 +137,11 @@ def test_criterion_4_tseitin_projection(capsys):
     try:
         for seed in range(1000, 1000 + n_formulas):
             t = small_random_tree(seed)
-            f = to_formula(t)
             inst = build_wcnf(t)
             cnf, vm = inst.hard, inst.var_map
             models = all_models(cnf)
             projected = project_models(models, vm)
-            expected = satisfying_event_sets(f, formula_events(f))
+            expected = satisfying_event_sets(t)
             if projected != expected:
                 failures.append(
                     f"seed {seed}: projection mismatch "
@@ -238,8 +230,8 @@ def test_criterion_7_roundtrip_and_involution(capsys):
     n_cases = 100
     try:
         for seed in range(2000, 2000 + n_cases):
-            f = to_formula(small_random_tree(seed))
-            if dualize(dualize(f)) != f:
+            t = small_random_tree(seed)
+            if dualize(dualize(t)) != t:
                 failures.append(f"involution broke at seed {seed}")
         for seed in range(3000, 3000 + n_cases):
             nodes = 1 + seed % 60

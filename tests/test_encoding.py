@@ -19,7 +19,7 @@ from mpmcs.encoding import (
     joint_probability,
     to_log_space,
 )
-from mpmcs.fault_tree import formula_events, to_formula
+from mpmcs.fault_tree import Gate
 
 
 def test_to_log_space_known_values():
@@ -109,14 +109,13 @@ def test_tseitin_encodes_shared_gate_once():
 @given(strategies.fault_trees(max_events=6))
 def test_tseitin_projection_equals_formula_models(t):
     """Projected CNF models are exactly the satisfying event sets, 1:1."""
-    f = to_formula(t)
     inst = build_wcnf(t)
     cnf, vm = inst.hard, inst.var_map
     if cnf.num_vars > 16:
         return
     models = all_models(cnf)
     projected = project_models(models, vm)
-    expected = satisfying_event_sets(f, formula_events(f))
+    expected = satisfying_event_sets(t)
     assert projected == expected
     # The biconditional pins every auxiliary, so the projection is 1:1.
     assert len(models) == len(projected)
@@ -126,12 +125,31 @@ def test_tseitin_projection_equals_formula_models(t):
 @given(strategies.fault_trees(max_events=6, shared=True))
 def test_tseitin_projection_equals_formula_models_on_dags(t):
     """The same 1:1 projection when gates and events are shared."""
-    f = to_formula(t)
     inst = build_wcnf(t)
     models = all_models(inst.hard)
     projected = project_models(models, inst.var_map)
-    assert projected == satisfying_event_sets(f, formula_events(f))
+    assert projected == satisfying_event_sets(t)
     assert len(models) == len(projected)
+
+
+def _first_appearance(t):
+    """Distinct events in depth-first, left-to-right order from the top."""
+    seen: set[str] = set()
+    events: list[str] = []
+
+    def visit(nid: str) -> None:
+        if nid in seen:
+            return
+        seen.add(nid)
+        node = t.nodes[nid]
+        if isinstance(node, Gate):
+            for child in node.children:
+                visit(child)
+        else:
+            events.append(nid)
+
+    visit(t.top)
+    return events
 
 
 @settings(max_examples=150, deadline=None)
@@ -144,7 +162,7 @@ def test_one_walk_orders_nodes_and_numbers_variables(t):
         assert all(position[c] < position[nid] for c in t.nodes[nid].children)
     assert t.order[-1] == t.top
     inst = build_wcnf(t)
-    assert list(inst.var_map.var_of_event) == formula_events(to_formula(t))
+    assert list(inst.var_map.var_of_event) == _first_appearance(t)
     first_gate = len(inst.var_map.var_of_event) + 1
     for g, (_, kids) in enumerate(inst.circuit, first_gate):
         assert all(c < g for c in kids)
@@ -164,8 +182,7 @@ def test_fire_circuit_numbering(fire_instance):
 
 def test_fire_formula_model_count(fire_tree):
     """113 of the 128 event assignments fail the system; frozen regression."""
-    f = to_formula(fire_tree)
-    expected = satisfying_event_sets(f, formula_events(f))
+    expected = satisfying_event_sets(fire_tree)
     assert len(expected) == 113
     inst = build_wcnf(fire_tree)
     cnf, vm = inst.hard, inst.var_map

@@ -1,7 +1,8 @@
-"""Data model, parsing, and formula operations."""
+"""Data model, parsing, evaluation and dualization."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -9,18 +10,16 @@ from hypothesis import given, settings
 
 import strategies
 from helpers import tree
+from mpmcs.encoding import build_wcnf
 from mpmcs.fault_tree import (
-    And,
     FaultTreeError,
-    Or,
-    Var,
+    GateOp,
     dualize,
     evaluate,
-    formula_events,
     parse_fault_tree,
     serialize_fault_tree,
-    to_formula,
 )
+from mpmcs.solver import compute_mpmcs
 
 
 def test_fire_tree_shape(fire_tree):
@@ -130,105 +129,81 @@ def test_parse_serialize_identity_with_sharing(t):
     assert parse_fault_tree(serialize_fault_tree(t)) == t
 
 
-def test_to_formula_structure(fire_tree):
-    f = to_formula(fire_tree)
-    assert isinstance(f, Or)
-    det, sup = f.children
-    assert isinstance(det, And)
-    assert det.children == (Var("x1"), Var("x2"))
-    assert isinstance(sup, Or)
-    assert len(sup.children) == 3
-
-
-def test_to_formula_shares_nodes():
-    t = tree(
-        {
-            "top": ("and", ["a", "b"]),
-            "a": ("or", ["shared", "e1"]),
-            "b": ("or", ["shared", "e2"]),
-            "shared": ("and", ["e3", "e4"]),
-            "e1": 0.1, "e2": 0.2, "e3": 0.3, "e4": 0.4,
-        },
-        top="top",
-    )
-    f = to_formula(t)
-    a, b = f.children
-    assert a.children[0] is b.children[0]
-
-
 def test_dualize_swaps_gates(fire_tree):
-    f = to_formula(fire_tree)
-    d = dualize(f)
-    assert isinstance(d, And)
-    det, sup = d.children
-    assert isinstance(det, Or)
-    assert isinstance(sup, And)
-    assert det.children == (Var("x1"), Var("x2"))
+    d = dualize(fire_tree)
+    assert d.nodes["system"].op is GateOp.AND
+    assert d.nodes["detection"].op is GateOp.OR
+    assert d.nodes["suppression"].op is GateOp.AND
+    assert d.nodes["detection"].children == ("x1", "x2")
+    assert (d.name, d.top, list(d.nodes)) == (
+        fire_tree.name, fire_tree.top, list(fire_tree.nodes),
+    )
+    assert d.probabilities() == fire_tree.probabilities()
 
 
 @settings(max_examples=150)
-@given(strategies.formulas)
-def test_dualize_is_an_involution(f):
-    assert dualize(dualize(f)) == f
+@given(strategies.fault_trees(shared=True))
+def test_dualize_is_an_involution(t):
+    assert dualize(dualize(t)) == t
 
 
-@settings(max_examples=100)
-@given(strategies.formulas)
-def test_dualize_preserves_events(f):
-    assert formula_events(dualize(f)) == formula_events(f)
+@settings(max_examples=100, deadline=None)
+@given(strategies.fault_trees(max_events=6, shared=True))
+def test_dualize_is_the_success_tree(t):
+    """De Morgan: the dual, with every event read as its complement,
+    holds exactly when the original top does not."""
+    events = t.event_ids
+    d = dualize(t)
+    for k in range(len(events) + 1):
+        for chosen in itertools.combinations(events, k):
+            failed = set(chosen)
+            held = {e: e not in failed for e in events}
+            assert evaluate(d, held) == (not evaluate(t, {e: True for e in failed}))
 
 
 def test_evaluate_fire_cases(fire_tree):
-    f = to_formula(fire_tree)
-    assert not evaluate(f, {})
-    assert evaluate(f, {"x1": True, "x2": True})
-    assert not evaluate(f, {"x1": True})
-    assert evaluate(f, {"x3": True})
-    assert evaluate(f, {"x5": True, "x7": True})
-    assert not evaluate(f, {"x6": True, "x7": True})
-    assert evaluate(f, {e: True for e in fire_tree.event_ids})
+    assert not evaluate(fire_tree, {})
+    assert evaluate(fire_tree, {"x1": True, "x2": True})
+    assert not evaluate(fire_tree, {"x1": True})
+    assert evaluate(fire_tree, {"x3": True})
+    assert evaluate(fire_tree, {"x5": True, "x7": True})
+    assert not evaluate(fire_tree, {"x6": True, "x7": True})
+    assert evaluate(fire_tree, {e: True for e in fire_tree.event_ids})
 
 
 def test_evaluate_missing_events_default_false():
-    f = And((Var("a"), Var("b")))
-    assert not evaluate(f, {"a": True})
-    assert evaluate(f, {"a": True, "b": True})
+    t = tree({"top": ("and", ["a", "b"]), "a": 0.1, "b": 0.2}, top="top")
+    assert not evaluate(t, {"a": True})
+    assert evaluate(t, {"a": True, "b": True})
 
 
 @settings(max_examples=100)
 @given(strategies.fault_trees())
 def test_evaluate_is_monotone(t):
     """Turning one more event on can never turn the top event off."""
-    f = to_formula(t)
     events = t.event_ids
     base = {e: (hash((t.name, e)) % 2 == 0) for e in events}
-    before = evaluate(f, base)
+    before = evaluate(t, base)
     for e in events:
         if not base[e]:
             widened = dict(base)
             widened[e] = True
-            assert evaluate(f, widened) >= before
-
-
-def test_formula_events_order_and_uniqueness(fire_tree):
-    f = to_formula(fire_tree)
-    assert formula_events(f) == [f"x{i}" for i in range(1, 8)]
-    shared = And((Var("a"), Or((Var("b"), Var("a")))))
-    assert formula_events(shared) == ["a", "b"]
+            assert evaluate(t, widened) >= before
 
 
 def test_deep_tree_does_not_recurse():
-    """A 2000-level chain exercises the iterative traversals."""
+    """A 10^4-level chain exercises the iterative walks end to end."""
     spec: dict = {"e": 0.5}
     child = "e"
-    for i in range(2000):
+    for i in range(10_000):
         gid = f"g{i}"
-        spec[gid] = ("or", [child])
+        spec[gid] = ("and" if i % 2 else "or", [child])
         child = gid
     t = tree(spec, top=child)
-    f = to_formula(t)
-    assert evaluate(f, {"e": True})
-    assert not evaluate(f, {})
-    assert formula_events(f) == ["e"]
-    assert dualize(dualize(f)) is not None
+    assert evaluate(t, {"e": True})
+    assert not evaluate(t, {})
+    assert dualize(dualize(t)) == t
+    assert dualize(t).nodes[t.top].op is GateOp.OR
+    assert len(build_wcnf(t).circuit) == 10_000
+    assert compute_mpmcs(t).cut_set == frozenset({"e"})
     assert parse_fault_tree(serialize_fault_tree(t)).top == t.top

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 
 import strategies
 from helpers import is_minimal_cut, tree
-from mpmcs.fault_tree import to_formula
 from mpmcs.generator import GeneratorParams, random_fault_tree
 from mpmcs.oracle import MAX_ORACLE_EVENTS, enumerate_mcs, oracle_mpmcs
 
@@ -71,11 +70,10 @@ def test_single_event_tree():
 @settings(max_examples=60, deadline=None)
 @given(strategies.fault_trees(max_events=7))
 def test_every_returned_set_is_a_minimal_cut(t):
-    f = to_formula(t)
     cut_sets = enumerate_mcs(t)
     assert cut_sets, "a valid tree always has at least one cut set"
     for cs in cut_sets:
-        assert is_minimal_cut(f, cs.events)
+        assert is_minimal_cut(t, cs.events)
     # No returned set contains another; minimality is global.
     sets = [cs.events for cs in cut_sets]
     for a in sets:
@@ -86,9 +84,8 @@ def test_every_returned_set_is_a_minimal_cut(t):
 @settings(max_examples=60, deadline=None)
 @given(strategies.fault_trees(max_events=7, shared=True))
 def test_minimality_holds_under_sharing(t):
-    f = to_formula(t)
     for cs in enumerate_mcs(t):
-        assert is_minimal_cut(f, cs.events)
+        assert is_minimal_cut(t, cs.events)
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,7 +16,7 @@ import strategies
 from helpers import is_minimal_cut, small_random_tree, tree
 from mpmcs import solver
 from mpmcs.encoding import CnfFormula, build_wcnf, event_weights
-from mpmcs.fault_tree import evaluate, to_formula
+from mpmcs.fault_tree import evaluate
 from mpmcs.generator import GeneratorParams, random_fault_tree
 from mpmcs.oracle import enumerate_mcs, oracle_mpmcs
 from mpmcs.solver import (
@@ -164,13 +164,12 @@ def _assert_strategies_match_oracle(t):
     instance = build_wcnf(t)
     weights = event_weights(t)
     want = oracle_mpmcs(t)
-    formula = to_formula(t)
     root = instance.var_map.root_var
     events = sorted(t.event_ids)
     for k in range(len(events) + 1):
         for chosen in itertools.combinations(events, k):
             circuit_says = complete_assignment(instance, frozenset(chosen))[root] > 0
-            assert circuit_says == evaluate(formula, {e: True for e in chosen}), chosen
+            assert circuit_says == evaluate(t, {e: True for e in chosen}), chosen
     prop = Propagator(instance.hard, dict(instance.soft))
     assert prop.assert_units()
     bound = _residual_bound(instance, prop.val, prop.weight)[root]
@@ -182,7 +181,7 @@ def _assert_strategies_match_oracle(t):
         assert res.log_weight == pytest.approx(want.log_weight, rel=1e-9, abs=0), (
             config.solver_id
         )
-        assert is_minimal_cut(formula, res.cut_set), config.solver_id
+        assert is_minimal_cut(t, res.cut_set), config.solver_id
 
 
 def test_weights_below_prune_eps():
@@ -196,14 +195,51 @@ def test_weights_below_prune_eps():
         },
         top="top",
     )
+    _assert_every_config_finds(t, {"s"})
+
+
+@pytest.mark.parametrize(
+    "spec, want_cut",
+    [
+        # w(t) ~ 1.1e-15 lies below the relative prune slack, so the search
+        # may keep t; the extraction sweep must drop it.
+        ({"top": ("or", ["g", "a"]), "g": ("and", ["a", "t"]),
+          "a": 0.5, "t": 1 - 1e-15}, {"a"}),
+        # p -> 0: weights near the top of the float range, one from a
+        # subnormal probability.
+        ({"top": ("or", ["a", "b"]), "a": 1e-300, "b": 5e-324}, {"a"}),
+    ],
+    ids=["p-near-one", "p-near-zero"],
+)
+def test_extreme_probabilities_match_oracle(spec, want_cut):
+    _assert_every_config_finds(tree(spec, top="top"), want_cut)
+
+
+def _assert_every_config_finds(t, want_cut):
+    """Every configuration and ``compute_mpmcs`` return the oracle's optimum."""
     want = oracle_mpmcs(t)
-    assert want.cut_set == frozenset({"s"})
+    assert want.cut_set == frozenset(want_cut)
     instance = build_wcnf(t)
     weights = event_weights(t)
     results = [extract_mpmcs(_solve(instance, c), instance, weights) for c in ALL_CONFIGS]
     for res in results + [compute_mpmcs(t)]:
         assert res.cut_set == want.cut_set, res.solver_id
         assert res.log_weight == pytest.approx(want.log_weight, rel=1e-9, abs=0)
+
+
+def test_root_bound_table_is_built_once(fire_instance, monkeypatch):
+    """The warm start's root table also serves the root prune check."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _residual_bound(*args)
+
+    monkeypatch.setattr(solver, "_residual_bound", counted)
+    sol = solve_branch_and_bound(fire_instance, SolverConfig())
+    assert sol.proven
+    assert sol.stats.decisions == 0
+    assert len(calls) == 1
 
 
 def _four_event_dag():
