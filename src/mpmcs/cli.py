@@ -21,6 +21,7 @@ from .fault_tree import FaultTree, FaultTreeError, parse_fault_tree, serialize_f
 from .generator import GeneratorParams, random_fault_tree
 from .oracle import MAX_ORACLE_EVENTS, oracle_mpmcs
 from .solver import (
+    TIE_REL_TOL,
     MpmcsResult,
     OptimaTimeoutError,
     compute_mpmcs,
@@ -34,9 +35,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_BUDGET = 2
 EXIT_MISMATCH = 3
-
-# Relative weight tolerance for declaring solver and reference in agreement.
-CHECK_REL_TOL = 1e-9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,7 +139,7 @@ def _cmd_check(args) -> int:
         print("error: budget exhausted before optimality was proven", file=sys.stderr)
         return EXIT_BUDGET
     want = oracle_mpmcs(tree)
-    tol = CHECK_REL_TOL * max(1.0, abs(want.log_weight))
+    tol = TIE_REL_TOL * max(1.0, abs(want.log_weight))
     weight_ok = abs(got.log_weight - want.log_weight) <= tol
     # Distinct sets may tie for the optimum; the weight is the contract.
     if not weight_ok:

@@ -189,7 +189,6 @@ class Propagator:
 
     def __init__(self, cnf: CnfFormula, weight_of_var: dict[int, float]):
         n = cnf.num_vars
-        self.num_vars = n
         self.clauses = [list(c) for c in cnf.clauses]
         self.val = [0] * (n + 1)
         self.weight = [0.0] * (n + 1)
@@ -386,6 +385,14 @@ def _cheapest_events(instance: WcnfInstance, bound: Sequence[float]) -> list[str
     return [event_of_var[v] for v in seen if v < first_gate]
 
 
+def _root_propagator(instance: WcnfInstance) -> Propagator:
+    """Propagator over the hard clauses with the root units asserted."""
+    prop = Propagator(instance.hard, dict(instance.soft))
+    if not prop.assert_units():
+        raise UnsatisfiableError("hard clauses conflict at root level")
+    return prop
+
+
 def _prune_slack(incumbent: float) -> float:
     # Relative, so float noise in large accumulated sums cannot keep
     # provably-dead branches alive, while an incumbent smaller than
@@ -416,12 +423,9 @@ def solve_branch_and_bound(
     """
     start = time.perf_counter()
     deadline = start + config.time_budget
-    prop = Propagator(instance.hard, dict(instance.soft))
+    prop = _root_propagator(instance)
     order = _decision_order(instance, config)
     decisions = 0
-
-    if not prop.assert_units():
-        raise UnsatisfiableError("hard clauses conflict at root level")
 
     incumbent: Optional[tuple[int, ...]] = None
     incumbent_w = math.inf
@@ -434,18 +438,10 @@ def solve_branch_and_bound(
 
     root = instance.var_map.root_var
     stack: list[list] = []  # [var, tried_true]
-    cancelled = False
-
-    def over_budget() -> bool:
-        nonlocal cancelled
-        if cancel is not None and cancel.is_set():
-            cancelled = True
-            return True
-        return time.perf_counter() > deadline
-
-    conflict = False
+    cancelled = proven = conflict = False
     while True:
-        if over_budget():
+        cancelled = cancel is not None and cancel.is_set()
+        if cancelled or time.perf_counter() > deadline:
             break
         if not conflict:
             threshold = incumbent_w - _prune_slack(incumbent_w)
@@ -476,16 +472,8 @@ def solve_branch_and_bound(
         while stack and stack[-1][1]:
             stack.pop()
         if not stack:
-            if incumbent is None:
-                raise UnsatisfiableError("search space exhausted without a model")
-            elapsed = time.perf_counter() - start
-            return Solution(
-                assignment=incumbent,
-                weight=incumbent_w,
-                proven=True,
-                stats=SearchStats(decisions, prop.propagations, elapsed, False),
-                solver_id=config.solver_id,
-            )
+            proven = True
+            break
         frame = stack[-1]
         frame[1] = True
         prop.backtrack(len(stack) - 1)
@@ -493,11 +481,13 @@ def solve_branch_and_bound(
         prop.decide(frame[0], True)
         conflict = not prop.propagate()
 
+    if proven and incumbent is None:
+        raise UnsatisfiableError("search space exhausted without a model")
     elapsed = time.perf_counter() - start
     return Solution(
         assignment=incumbent,
         weight=incumbent_w,
-        proven=False,
+        proven=proven,
         stats=SearchStats(decisions, prop.propagations, elapsed, cancelled),
         solver_id=config.solver_id,
     )
@@ -522,51 +512,36 @@ def solve_best_first(
     """
     start = time.perf_counter()
     deadline = start + config.time_budget
-    weight_of_var = dict(instance.soft)
-    prop = Propagator(instance.hard, weight_of_var)
+    prop = _root_propagator(instance)
     order = _decision_order(instance, config)
     decisions = 0
     cancelled = False
-
-    if not prop.assert_units():
-        raise UnsatisfiableError("hard clauses conflict at root level")
+    model: Optional[tuple[int, ...]] = None
 
     tie = count()
     heap: list[tuple[float, int, tuple[tuple[int, bool], ...]]] = [
         (prop.cost, next(tie), ())
     ]
     while heap:
-        if cancel is not None and cancel.is_set():
-            cancelled = True
+        cancelled = cancel is not None and cancel.is_set()
+        if cancelled or time.perf_counter() > deadline:
             break
-        if time.perf_counter() > deadline:
-            break
-        g, _, path = heapq.heappop(heap)
+        _, _, path = heapq.heappop(heap)
         prop.backtrack(0)
-        ok = True
+        # A state is pushed only after its path propagated cleanly from
+        # this same root, so replaying it cannot conflict.
         for var, value in path:
             prop.decide(var, value)
-            if not prop.propagate():
-                ok = False
-                break
-        if not ok:
-            continue  # cannot happen: children are pushed only when clean
+            prop.propagate()
         if prop.all_clauses_satisfied():
-            val = list(prop.val)
-            for v in range(1, prop.num_vars + 1):
-                if val[v] == 0:
-                    val[v] = -1
-            elapsed = time.perf_counter() - start
-            return Solution(
-                assignment=tuple(val),
-                weight=_exact_weight(val, instance),
-                proven=True,
-                stats=SearchStats(decisions, prop.propagations, elapsed, False),
-                solver_id=config.solver_id,
-            )
-        var = next((v for v in order if prop.val[v] == 0), None)
-        if var is None:
-            continue
+            # Every clause already has a true literal, so open variables
+            # can all be set false.
+            model = (0, *(v or -1 for v in prop.val[1:]))
+            break
+        # Some event is open: once every event is set, propagation sets
+        # every gate, and without a conflict the watched pairs then leave
+        # no clause unsatisfied.
+        var = next(v for v in order if prop.val[v] == 0)
         base = len(path)
         for value in (False, True):
             prop.decide(var, value)
@@ -585,9 +560,9 @@ def solve_best_first(
 
     elapsed = time.perf_counter() - start
     return Solution(
-        assignment=None,
-        weight=math.inf,
-        proven=False,
+        assignment=model,
+        weight=math.inf if model is None else _exact_weight(model, instance),
+        proven=model is not None,
         stats=SearchStats(decisions, prop.propagations, elapsed, cancelled),
         solver_id=config.solver_id,
     )
@@ -595,14 +570,6 @@ def solve_best_first(
 
 # ---------------------------------------------------------------------------
 # Portfolio
-
-
-def _solve_one(
-    instance: WcnfInstance, config: SolverConfig, cancel: Optional[threading.Event]
-) -> Solution:
-    if config.strategy is Strategy.BRANCH_AND_BOUND:
-        return solve_branch_and_bound(instance, config, cancel)
-    return solve_best_first(instance, config, cancel)
 
 
 def solve_portfolio(
@@ -620,26 +587,20 @@ def solve_portfolio(
     if not configs:
         raise ValueError("portfolio needs at least one configuration")
     cancel = threading.Event()
-    lock = threading.Lock()
-    outcomes: list[Optional[Solution]] = [None] * len(configs)
-    errors: list[Optional[BaseException]] = [None] * len(configs)
-    exit_times: list[Optional[float]] = [None] * len(configs)
-    winner_time: list[Optional[float]] = [None]
+    # Per worker: its Solution or the exception it raised, and its exit time.
+    records: list = [None] * len(configs)
 
     def work(i: int, cfg: SolverConfig) -> None:
+        search = solve_best_first
+        if cfg.strategy is Strategy.BRANCH_AND_BOUND:
+            search = solve_branch_and_bound
         try:
-            sol = _solve_one(instance, cfg, cancel)
+            outcome = search(instance, cfg, cancel)
+            if outcome.proven:
+                cancel.set()
         except BaseException as exc:  # reported, not swallowed
-            errors[i] = exc
-        else:
-            outcomes[i] = sol
-            if sol.proven:
-                with lock:
-                    if winner_time[0] is None:
-                        winner_time[0] = time.perf_counter()
-                        cancel.set()
-        finally:
-            exit_times[i] = time.perf_counter()
+            outcome = exc
+        records[i] = (outcome, time.perf_counter())
 
     threads = [
         threading.Thread(target=work, args=(i, cfg), daemon=True)
@@ -650,39 +611,31 @@ def solve_portfolio(
     for t in threads:
         t.join()
 
-    if all(sol is None for sol in outcomes):
-        errs = [e for e in errors if e is not None]
-        if errs and all(isinstance(e, UnsatisfiableError) for e in errs):
+    solved = [out for out, _ in records if isinstance(out, Solution)]
+    if not solved:
+        errs = [out for out, _ in records]
+        if all(isinstance(e, UnsatisfiableError) for e in errs):
             raise UnsatisfiableError(str(errs[0]))
         raise PortfolioError(errs)
 
-    won = winner_time[0]
+    # The winner is the first worker to exit with a proof.
+    won = min(
+        (t for out, t in records if isinstance(out, Solution) and out.proven),
+        default=None,
+    )
     reports = []
-    for i, cfg in enumerate(configs):
-        sol = outcomes[i]
-        after = None
-        if won is not None and exit_times[i] is not None:
-            after = max(0.0, exit_times[i] - won)
+    for cfg, (out, exited) in zip(configs, records):
+        after = None if won is None else max(0.0, exited - won)
         inside = None if after is None else after <= GRACE_PERIOD
-        if sol is None:
-            reports.append(
-                WorkerReport(cfg.solver_id, False, math.inf, 0.0, False,
-                             error=str(errors[i]), exit_after_winner=after,
-                             within_grace=inside)
-            )
+        if isinstance(out, Solution):
+            summary = (out.proven, out.weight, out.stats.elapsed, out.stats.cancelled, None)
         else:
-            reports.append(
-                WorkerReport(cfg.solver_id, sol.proven, sol.weight,
-                             sol.stats.elapsed, sol.stats.cancelled,
-                             exit_after_winner=after, within_grace=inside)
-            )
+            summary = (False, math.inf, 0.0, False, str(out))
+        reports.append(WorkerReport(cfg.solver_id, *summary, exit_after_winner=after,
+                                    within_grace=inside))
 
-    proven = [s for s in outcomes if s is not None and s.proven]
-    if proven:
-        best = min(proven, key=lambda s: s.weight)
-    else:
-        candidates = [s for s in outcomes if s is not None]
-        best = min(candidates, key=lambda s: s.weight)
+    # Proven first, then lightest; ties keep configuration order.
+    best = min(solved, key=lambda s: (not s.proven, s.weight))
     return replace(best, workers=tuple(reports))
 
 
@@ -701,21 +654,32 @@ def extract_mpmcs(
     differ by less than ``PRUNE_EPS`` times the incumbent, so an optimal
     solution may carry a redundant member lighter than that, such as an
     event whose probability is that close to 1.
+
+    Each trial re-evaluates only the gates the model keeps true.  The
+    model satisfies the hard clauses, so its gate values are the
+    circuit's values, and the circuit is monotone: a gate false under
+    the model stays false under every subset of the model's events.
     """
     if solution.assignment is None:
         raise ValueError("solution carries no model to extract from")
     val = solution.assignment
     if not _satisfies(instance.hard.clauses, val):
         raise InconsistencyError("solution does not satisfy the hard clauses")
-    cut = {
-        eid
-        for eid, var in instance.var_map.var_of_event.items()
-        if val[var] > 0
-    }
+    var_of_event = instance.var_map.var_of_event
+    cut = {eid for eid, var in var_of_event.items() if val[var] > 0}
     root = instance.var_map.root_var
+    live = [
+        (g, is_and, kids)
+        for g, (is_and, kids) in enumerate(instance.circuit, len(var_of_event) + 1)
+        if val[g] > 0
+    ]
     for eid in sorted(cut, key=lambda e: (-weights[e], e)):
         trial = cut - {eid}
-        if complete_assignment(instance, trial)[root] > 0:
+        true = {var_of_event[e] for e in trial}
+        for g, is_and, kids in live:
+            if (all if is_and else any)(c in true for c in kids):
+                true.add(g)
+        if root in true:
             cut = trial
     if complete_assignment(instance, cut)[root] <= 0:
         raise InconsistencyError("extracted cut set does not fail the top event")

@@ -6,6 +6,7 @@ import copy
 import itertools
 import math
 import pickle
+import random
 import threading
 
 import pytest
@@ -13,14 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
-from helpers import is_minimal_cut, small_random_tree, tree
+from helpers import is_minimal_cut, satisfying_event_sets, small_random_tree, tree
 from mpmcs import solver
 from mpmcs.encoding import CnfFormula, build_wcnf, event_weights
-from mpmcs.fault_tree import evaluate
+from mpmcs.fault_tree import BasicEvent, FaultTree, Gate, evaluate
 from mpmcs.generator import GeneratorParams, random_fault_tree
 from mpmcs.oracle import enumerate_mcs, oracle_mpmcs
 from mpmcs.solver import (
     PRUNE_EPS,
+    TIE_REL_TOL,
     FrontierLimitError,
     InconsistencyError,
     PortfolioError,
@@ -411,6 +413,50 @@ def test_stats_are_populated():
     assert not sol.stats.cancelled
 
 
+def _seeded_dag(nodes: int, share: float, seed: int) -> FaultTree:
+    """A seeded random tree plus ``share * #events`` extra gate -> event edges."""
+    base = random_fault_tree(GeneratorParams(nodes=nodes, seed=seed))
+    rng = random.Random(f"dag:{seed}")
+    children = {
+        n.id: list(n.children) for n in base.nodes.values() if isinstance(n, Gate)
+    }
+    gates, events = list(children), base.event_ids
+    extra = round(share * len(events))
+    while extra:
+        g, e = rng.choice(gates), rng.choice(events)
+        if e not in children[g]:
+            children[g].append(e)
+            extra -= 1
+    nodes_out = {
+        nid: Gate(nid, node.op, tuple(children[nid])) if nid in children else node
+        for nid, node in base.nodes.items()
+    }
+    return FaultTree(name="dag", nodes=nodes_out, top=base.top)
+
+
+@pytest.mark.parametrize(
+    "make, bnb_decisions, bnb_propagations, bestfirst_decisions",
+    [
+        (_four_event_dag, 2, 6, 4),
+        (lambda: _seeded_dag(200, 0.3, 1), 270, 361, 606),
+        (lambda: _seeded_dag(300, 0.3, 3), 528, 635, 3240),
+    ],
+    ids=["four-event", "dag-200-1", "dag-300-3"],
+)
+def test_search_counts_are_frozen(make, bnb_decisions, bnb_propagations,
+                                  bestfirst_decisions):
+    """A change to the search that alters these counts must say so."""
+    instance = build_wcnf(make())
+    bnb = solve_branch_and_bound(instance, SolverConfig())
+    best = solve_best_first(instance, SolverConfig(strategy=Strategy.BEST_FIRST))
+    assert bnb.proven and best.proven
+    assert bnb.weight == best.weight
+    assert (bnb.stats.decisions, bnb.stats.propagations) == (
+        bnb_decisions, bnb_propagations
+    )
+    assert best.stats.decisions == bestfirst_decisions
+
+
 # ---------------------------------------------------------------------------
 # Unsatisfiable instances
 
@@ -540,6 +586,27 @@ def test_extract_sweeps_redundant_members(fire_instance, fire_weights):
     assert res.log_weight == math.fsum(fire_weights[e] for e in ("x1", "x2"))
 
 
+@settings(max_examples=60, deadline=None)
+@given(strategies.fault_trees(max_events=7, shared=True), st.data())
+def test_extract_matches_greedy_sweep(t, data):
+    """Any model that fails the top sweeps to the heaviest-first greedy cut."""
+    failing = data.draw(st.sampled_from(sorted(satisfying_event_sets(t), key=sorted)))
+    instance = build_wcnf(t)
+    weights = event_weights(t)
+    sol = Solution(
+        assignment=complete_assignment(instance, failing),
+        weight=math.fsum(weights[e] for e in failing),
+        proven=False,
+        stats=SearchStats(),
+        solver_id="manual",
+    )
+    want = set(failing)
+    for eid in sorted(failing, key=lambda e: (-weights[e], e)):
+        if evaluate(t, {e: True for e in want - {eid}}):
+            want.discard(eid)
+    assert extract_mpmcs(sol, instance, weights).cut_set == want
+
+
 def test_extract_rejects_non_model(fire_instance, fire_weights):
     vals = tuple([0] + [-1] * fire_instance.hard.num_vars)
     sol = Solution(
@@ -583,6 +650,35 @@ def test_enumerate_optima_ties():
     optima = enumerate_optima(instance, event_weights(t), default_portfolio())
     assert sorted(sorted(r.cut_set) for r in optima) == [["a"], ["b"]]
     assert optima[0].log_weight == optima[1].log_weight
+
+
+@settings(max_examples=40, deadline=None)
+@given(strategies.fault_trees(max_events=7, shared=True), st.data())
+def test_enumerate_optima_on_dags_matches_oracle(t, data):
+    """Probabilities from a small set make ties; every tied cut is found."""
+    probs = {
+        eid: data.draw(st.sampled_from((0.1, 0.01, 0.5)), label=eid)
+        for eid in t.event_ids
+    }
+    t = FaultTree(
+        name=t.name,
+        nodes={
+            nid: BasicEvent(nid, probs[nid]) if nid in probs else node
+            for nid, node in t.nodes.items()
+        },
+        top=t.top,
+    )
+    weights = event_weights(t)
+    optima = enumerate_optima(build_wcnf(t), weights, default_portfolio())
+    cut_weights = {
+        cs.events: math.fsum(weights[e] for e in cs.events) for cs in enumerate_mcs(t)
+    }
+    best = min(cut_weights.values())
+    tol = TIE_REL_TOL * max(1.0, best)
+    want = {cut for cut, w in cut_weights.items() if w <= best + tol}
+    got = [r.cut_set for r in optima]
+    assert len(got) == len(set(got))
+    assert set(got) == want
 
 
 def test_enumerate_optima_exhausts_single_event():
