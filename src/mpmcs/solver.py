@@ -352,6 +352,10 @@ def _residual_bound(
     under sharing, which never overestimates.  Entry ``root_var`` bounds
     the whole completion; on a tree it is exact.  ``weight`` is indexed
     by variable.
+
+    This is the one full pass over the circuit: branch and bound runs it
+    once per solve, at the root, and ``_BoundTable`` keeps its result
+    current from there, bit for bit.
     """
     first_gate = len(instance.var_map.var_of_event) + 1
     bound = [
@@ -366,6 +370,83 @@ def _residual_bound(
             child_bounds = [bound[c] for c in kids]
             bound.append(combine(child_bounds) if is_and else min(child_bounds))
     return bound
+
+
+class _BoundTable:
+    """The ``_residual_bound`` table of one search, kept current on its trail.
+
+    ``update`` follows a clean propagate: it sets the entries of the
+    variables the newest decision level assigned (a true event costs 0,
+    a false variable is ``inf``; a true gate's entry still comes from its
+    children) and re-evaluates their ancestors in increasing variable
+    order, so each gate is recomputed once, after its children, with the
+    full pass's own expression, and stops where an entry does not
+    change.  The floats are therefore those a full pass would compute.
+    ``undo(level)`` restores the entries logged since that level, as
+    ``Propagator.backtrack(level)`` does for values; a level whose
+    propagate conflicted was never updated and has nothing to undo.
+
+    The parent index is built by the first ``update``, so a solve that
+    proves at the root, as every tree without blocking clauses does,
+    never pays for it.
+    """
+
+    def __init__(self, instance: WcnfInstance, prop: Propagator):
+        self.bound = _residual_bound(instance, prop.val, prop.weight)
+        self._circuit = instance.circuit
+        self._first_gate = len(instance.var_map.var_of_event) + 1
+        self._combine = math.fsum if instance.tree_shaped else max
+        self._parents: Optional[list[list[int]]] = None
+        self._log: list[tuple[int, float]] = []  # (variable, entry before)
+        self._marks: list[int] = []  # log length at the start of each level
+
+    def update(self, prop: Propagator) -> None:
+        """Bring the table up to date with the newest decision level."""
+        if self._parents is None:
+            self._parents = [[] for _ in self.bound]
+            for g, (_, kids) in enumerate(self._circuit, self._first_gate):
+                for c in kids:
+                    self._parents[c].append(g)
+        parents, bound, log = self._parents, self.bound, self._log
+        val, circuit, combine = prop.val, self._circuit, self._combine
+        first_gate = self._first_gate
+        self._marks.append(len(log))
+        # Children have smaller variables than their gates, so popping in
+        # increasing order recomputes each gate once, after its children.
+        queue = [
+            abs(lit) for lit in prop.trail[prop.level_starts[-1]:]
+            if lit < 0 or lit < first_gate  # true gates keep their entries
+        ]
+        queued = set(queue)
+        heapq.heapify(queue)
+        while queue:
+            v = heapq.heappop(queue)
+            if val[v] < 0:
+                new = math.inf
+            elif v < first_gate:
+                new = 0.0
+            else:
+                is_and, kids = circuit[v - first_gate]
+                child_bounds = [bound[c] for c in kids]
+                new = combine(child_bounds) if is_and else min(child_bounds)
+            if bound[v] != new:
+                log.append((v, bound[v]))
+                bound[v] = new
+                for p in parents[v]:
+                    if p not in queued:
+                        queued.add(p)
+                        heapq.heappush(queue, p)
+
+    def undo(self, level: int) -> None:
+        """Restore the entries of every level beyond ``level``."""
+        if len(self._marks) <= level:
+            return
+        mark = self._marks[level]
+        del self._marks[level:]
+        bound = self.bound
+        for v, old in reversed(self._log[mark:]):
+            bound[v] = old
+        del self._log[mark:]
 
 
 def _cheapest_events(instance: WcnfInstance, bound: Sequence[float]) -> list[str]:
@@ -416,10 +497,16 @@ def solve_branch_and_bound(
     The incumbent starts from a walk of the root-level ``_residual_bound``
     table (optimal on trees, so those prove with no decisions), and each
     node is pruned when its cost plus that same bound cannot beat the
-    incumbent.  Events are branched preferred-value-first (absent).
-    Auxiliary variables are never decided; the biconditional clauses
-    force them once the events settle.  Exhausting the tree proves
-    optimality; running out of budget returns the incumbent unproven.
+    incumbent.  The table is computed once, at the root, and a
+    ``_BoundTable`` keeps it current along the trail: each decision
+    re-evaluates only the ancestors of the variables it assigned, and
+    backtracking restores the entries it changed.  Events are branched
+    preferred-value-first (absent), in ``_decision_order``; each stack
+    frame keeps its event's position in that order, where the scan for
+    the next open event resumes.  Auxiliary variables are never decided;
+    the biconditional clauses force them once the events settle.
+    Exhausting the tree proves optimality; running out of budget returns
+    the incumbent unproven.
     """
     start = time.perf_counter()
     deadline = start + config.time_budget
@@ -429,7 +516,8 @@ def solve_branch_and_bound(
 
     incumbent: Optional[tuple[int, ...]] = None
     incumbent_w = math.inf
-    bound: Optional[list[float]] = _residual_bound(instance, prop.val, prop.weight)
+    table = _BoundTable(instance, prop)
+    bound = table.bound
     warm = complete_assignment(instance, _cheapest_events(instance, bound))
     # Blocking clauses over several events can rule the walked set out.
     if _satisfies(instance.hard.clauses, warm):
@@ -437,7 +525,7 @@ def solve_branch_and_bound(
         incumbent_w = _exact_weight(warm, instance)
 
     root = instance.var_map.root_var
-    stack: list[list] = []  # [var, tried_true]
+    stack: list[list] = []  # [position in order, tried_true]
     cancelled = proven = conflict = False
     while True:
         cancelled = cancel is not None and cancel.is_set()
@@ -445,41 +533,37 @@ def solve_branch_and_bound(
             break
         if not conflict:
             threshold = incumbent_w - _prune_slack(incumbent_w)
-            if prop.cost >= threshold:
-                conflict = True
-            else:
-                # The warm start's root table serves the first pass only.
-                if bound is None:
-                    bound = _residual_bound(instance, prop.val, prop.weight)
-                conflict = prop.cost + bound[root] >= threshold
-                bound = None
+            conflict = prop.cost + bound[root] >= threshold
         if not conflict:
-            var = next((v for v in order if prop.val[v] == 0), None)
-            if var is None:
+            # Every event before the newest frame's was set when it decided.
+            pos = stack[-1][0] + 1 if stack else 0
+            while pos < len(order) and prop.val[order[pos]] != 0:
+                pos += 1
+            if pos < len(order):
+                stack.append([pos, False])
+            else:
                 # complete model: all aux were forced by propagation
                 w = _exact_weight(prop.val, instance)
                 if w < incumbent_w:
                     incumbent = tuple(prop.val)
                     incumbent_w = w
                 conflict = True
-            else:
-                stack.append([var, False])
-                decisions += 1
-                prop.decide(var, False)
-                conflict = not prop.propagate()
-                continue
-        # conflict (or prune, or explored leaf): chronological backtracking
-        while stack and stack[-1][1]:
-            stack.pop()
-        if not stack:
-            proven = True
-            break
-        frame = stack[-1]
-        frame[1] = True
-        prop.backtrack(len(stack) - 1)
+        if conflict:
+            # conflict (or prune, or explored leaf): chronological backtracking
+            while stack and stack[-1][1]:
+                stack.pop()
+            if not stack:
+                proven = True
+                break
+            stack[-1][1] = True
+            prop.backtrack(len(stack) - 1)
+            table.undo(len(stack) - 1)
+        pos, value = stack[-1]
         decisions += 1
-        prop.decide(frame[0], True)
+        prop.decide(order[pos], value)
         conflict = not prop.propagate()
+        if not conflict:
+            table.update(prop)
 
     if proven and incumbent is None:
         raise UnsatisfiableError("search space exhausted without a model")

@@ -244,6 +244,22 @@ def test_root_bound_table_is_built_once(fire_instance, monkeypatch):
     assert len(calls) == 1
 
 
+def test_root_bound_table_is_built_once_in_a_search(monkeypatch):
+    """Branching keeps the root table current instead of recomputing it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _residual_bound(*args)
+
+    instance = build_wcnf(_seeded_dag(200, 0.3, 1))
+    monkeypatch.setattr(solver, "_residual_bound", counted)
+    sol = solve_branch_and_bound(instance, SolverConfig())
+    assert sol.proven
+    assert sol.stats.decisions == 270
+    assert len(calls) == 1
+
+
 def _four_event_dag():
     return tree(
         {
@@ -404,6 +420,51 @@ def test_branch_costs_grow_along_paths():
     assert decisions > 2, "search must have explored below the root"
 
 
+def _walk_bound_table(instance) -> None:
+    """Exhaustive decide/propagate/backtrack walk that drives a
+    ``_BoundTable`` beside its ``Propagator``; after every clean propagate
+    and every backtrack the table must equal the full pass exactly."""
+    prop = Propagator(instance.hard, dict(instance.soft))
+    if not prop.assert_units():
+        return
+    table = solver._BoundTable(instance, prop)
+    order = sorted(instance.var_map.var_of_event.values())
+
+    def check() -> None:
+        assert table.bound == _residual_bound(instance, prop.val, prop.weight)
+
+    def descend(depth: int) -> None:
+        var = next((v for v in order if prop.val[v] == 0), None)
+        if var is None:
+            return
+        for value in (False, True):
+            prop.decide(var, value)
+            if prop.propagate():
+                table.update(prop)
+                check()
+                descend(depth + 1)
+            prop.backtrack(depth)
+            table.undo(depth)
+            check()
+
+    descend(0)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["tree", "dag"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bound_table_matches_full_pass(shared, data):
+    """Also with a blocking clause over several events, which makes a
+    tree-shaped (sum at AND) instance search."""
+    t = data.draw(strategies.fault_trees(shared=shared))
+    instance = build_wcnf(t)
+    _walk_bound_table(instance)
+    events = sorted(t.event_ids)
+    if len(events) > 1:
+        blocked = data.draw(st.sets(st.sampled_from(events), min_size=2))
+        _walk_bound_table(add_blocking_clause(instance, frozenset(blocked)))
+
+
 def test_stats_are_populated():
     # Trees prove with 0 decisions; this DAG needs a little search.
     sol = solve_branch_and_bound(build_wcnf(_four_event_dag()), SolverConfig())
@@ -434,19 +495,39 @@ def _seeded_dag(nodes: int, share: float, seed: int) -> FaultTree:
     return FaultTree(name="dag", nodes=nodes_out, top=base.top)
 
 
+def _tied_tree_second_solve():
+    """``random_fault_tree(100, seed 2)`` with probabilities drawn from
+    (0.1, 0.01), as the benchmark's ``all_optima`` workload draws them,
+    and its first optimum blocked: the blocking clause spans three events,
+    so the warm start is ruled out and the tree-shaped bound searches."""
+    base = random_fault_tree(GeneratorParams(nodes=100, seed=2))
+    rng = random.Random("ties:2")
+    t = FaultTree(
+        name="ties",
+        nodes={
+            nid: BasicEvent(nid, rng.choice((0.1, 0.01)))
+            if isinstance(node, BasicEvent) else node
+            for nid, node in base.nodes.items()
+        },
+        top=base.top,
+    )
+    return add_blocking_clause(build_wcnf(t), frozenset({"e8", "e9", "e24"}))
+
+
 @pytest.mark.parametrize(
     "make, bnb_decisions, bnb_propagations, bestfirst_decisions",
     [
-        (_four_event_dag, 2, 6, 4),
-        (lambda: _seeded_dag(200, 0.3, 1), 270, 361, 606),
-        (lambda: _seeded_dag(300, 0.3, 3), 528, 635, 3240),
+        (lambda: build_wcnf(_four_event_dag()), 2, 6, 4),
+        (lambda: build_wcnf(_seeded_dag(200, 0.3, 1)), 270, 361, 606),
+        (lambda: build_wcnf(_seeded_dag(300, 0.3, 3)), 528, 635, 3240),
+        (_tied_tree_second_solve, 94, 99, 4956),
     ],
-    ids=["four-event", "dag-200-1", "dag-300-3"],
+    ids=["four-event", "dag-200-1", "dag-300-3", "ties-100-2-blocked"],
 )
 def test_search_counts_are_frozen(make, bnb_decisions, bnb_propagations,
                                   bestfirst_decisions):
     """A change to the search that alters these counts must say so."""
-    instance = build_wcnf(make())
+    instance = make()
     bnb = solve_branch_and_bound(instance, SolverConfig())
     best = solve_best_first(instance, SolverConfig(strategy=Strategy.BEST_FIRST))
     assert bnb.proven and best.proven
@@ -455,6 +536,18 @@ def test_search_counts_are_frozen(make, bnb_decisions, bnb_propagations,
         bnb_decisions, bnb_propagations
     )
     assert best.stats.decisions == bestfirst_decisions
+
+
+def test_dag_700_is_proven_with_frozen_counts():
+    """A DAG on which branch and bound searches for long: 67,272 decisions.
+    The optimum is the one an independent MILP (``bench/reference.py``)
+    finds.  The budget is generous so that the test pins counts, not
+    speed."""
+    instance = build_wcnf(_seeded_dag(700, 0.1, 1))
+    sol = solve_branch_and_bound(instance, SolverConfig(time_budget=600.0))
+    assert sol.proven
+    assert sol.stats.decisions == 67_272
+    assert sol.weight == pytest.approx(6.15490275856601, rel=1e-9, abs=0)
 
 
 # ---------------------------------------------------------------------------
