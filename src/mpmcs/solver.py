@@ -1,12 +1,13 @@
 """Exact weighted partial MaxSAT solving for fault-tree instances.
 
-Two complementary strategies share one propagation engine:
+One branch-and-bound search over event variables serves two
+complementary strategies.  Both share the propagation engine, the
+lower-bound table, the warm-start incumbent and the prune test; they
+differ only in the order in which open nodes leave the frontier:
 
-* branch and bound: depth-first over event variables, preferred value
-  first (event absent), pruning against the best solution found so far;
-* best first: Dijkstra over partial event assignments keyed by the
-  weight already paid, so the first fully satisfied state popped is
-  optimal.
+* branch and bound: depth first, preferred value (event absent) first;
+* best first: least cost plus lower bound first (A*), so the incumbent
+  is proven once no open node's bound can beat it.
 
 A portfolio runs several configurations concurrently on the shared
 immutable instance; the first proven-optimal finisher wins and the rest
@@ -289,9 +290,6 @@ class Propagator:
         del self.trail[pos:]
         self.qhead = len(self.trail)
 
-    def all_clauses_satisfied(self) -> bool:
-        return _satisfies(self.clauses, self.val)
-
 
 # ---------------------------------------------------------------------------
 # Shared helpers
@@ -353,9 +351,9 @@ def _residual_bound(
     the whole completion; on a tree it is exact.  ``weight`` is indexed
     by variable.
 
-    This is the one full pass over the circuit: branch and bound runs it
-    once per solve, at the root, and ``_BoundTable`` keeps its result
-    current from there, bit for bit.
+    This is the one full pass over the circuit: a search runs it once,
+    at the root, and ``_BoundTable`` keeps its result current from
+    there, bit for bit.
     """
     first_gate = len(instance.var_map.var_of_event) + 1
     bound = [
@@ -484,15 +482,17 @@ def _prune_slack(incumbent: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Branch and bound
+# Search
 
 
-def solve_branch_and_bound(
+def _search(
     instance: WcnfInstance,
     config: SolverConfig,
-    cancel: Optional[threading.Event] = None,
+    cancel: Optional[threading.Event],
+    best_first: bool,
 ) -> Solution:
-    """Depth-first search over event variables with incumbent pruning.
+    """Branch and bound over event variables; ``best_first`` chooses
+    only the order in which open nodes leave the frontier.
 
     The incumbent starts from a walk of the root-level ``_residual_bound``
     table (optimal on trees, so those prove with no decisions), and each
@@ -500,70 +500,104 @@ def solve_branch_and_bound(
     incumbent.  The table is computed once, at the root, and a
     ``_BoundTable`` keeps it current along the trail: each decision
     re-evaluates only the ancestors of the variables it assigned, and
-    backtracking restores the entries it changed.  Events are branched
-    preferred-value-first (absent), in ``_decision_order``; each stack
-    frame keeps its event's position in that order, where the scan for
-    the next open event resumes.  Auxiliary variables are never decided;
-    the biconditional clauses force them once the events settle.
-    Exhausting the tree proves optimality; running out of budget returns
-    the incumbent unproven.
+    backtracking restores the entries it changed.  A node branches on
+    the next open event in ``_decision_order`` after its own; auxiliary
+    variables are never decided, the biconditional clauses force them
+    once the events settle.
+
+    A node is one decision with a parent link, ``(parent, depth,
+    position in order, value)``; the root is None.  Depth first, the
+    frontier is a stack that yields the preferred value first, so every
+    move is one chronological backtrack.  Best first, it is a heap keyed
+    by the parent's cost plus bound, a lower bound on every completion
+    below the node, so the incumbent is proven once the least key cannot
+    beat it.  Exhausting the frontier also proves it; running out of
+    budget returns the incumbent unproven.
     """
     start = time.perf_counter()
     deadline = start + config.time_budget
     prop = _root_propagator(instance)
     order = _decision_order(instance, config)
+    root = instance.var_map.root_var
     decisions = 0
 
     incumbent: Optional[tuple[int, ...]] = None
     incumbent_w = math.inf
-    table = _BoundTable(instance, prop)
-    bound = table.bound
-    warm = complete_assignment(instance, _cheapest_events(instance, bound))
-    # Blocking clauses over several events can rule the walked set out.
-    if _satisfies(instance.hard.clauses, warm):
-        incumbent = warm
-        incumbent_w = _exact_weight(warm, instance)
+    # A member cancelled before it starts skips the bound pass and the
+    # warm start.  The deadline is first tested in the loop, so even a
+    # tiny budget returns the warm-start incumbent.
+    cancelled = cancel is not None and cancel.is_set()
+    if not cancelled:
+        table = _BoundTable(instance, prop)
+        bound = table.bound
+        warm = complete_assignment(instance, _cheapest_events(instance, bound))
+        # Blocking clauses over several events can rule the walked set out.
+        if _satisfies(instance.hard.clauses, warm):
+            incumbent = warm
+            incumbent_w = _exact_weight(warm, instance)
 
-    root = instance.var_map.root_var
-    stack: list[list] = []  # [position in order, tried_true]
-    cancelled = proven = conflict = False
+    node: Optional[tuple] = None
+    path: list[tuple] = []  # the nodes on the trail, one per decision level
+    frontier: list = []
+    tie = count()
+    clean = not cancelled  # the current node propagated without conflict
+    proven = False
     while True:
-        cancelled = cancel is not None and cancel.is_set()
-        if cancelled or time.perf_counter() > deadline:
-            break
-        if not conflict:
-            threshold = incumbent_w - _prune_slack(incumbent_w)
-            conflict = prop.cost + bound[root] >= threshold
-        if not conflict:
-            # Every event before the newest frame's was set when it decided.
-            pos = stack[-1][0] + 1 if stack else 0
+        lower = prop.cost + bound[root] if clean else math.inf
+        if lower < incumbent_w - _prune_slack(incumbent_w):
+            # Every event before this node's was set when it decided.
+            pos = node[2] + 1 if node else 0
             while pos < len(order) and prop.val[order[pos]] != 0:
                 pos += 1
-            if pos < len(order):
-                stack.append([pos, False])
-            else:
+            if pos == len(order):
                 # complete model: all aux were forced by propagation
                 w = _exact_weight(prop.val, instance)
                 if w < incumbent_w:
                     incumbent = tuple(prop.val)
                     incumbent_w = w
-                conflict = True
-        if conflict:
-            # conflict (or prune, or explored leaf): chronological backtracking
-            while stack and stack[-1][1]:
-                stack.pop()
-            if not stack:
-                proven = True
-                break
-            stack[-1][1] = True
-            prop.backtrack(len(stack) - 1)
-            table.undo(len(stack) - 1)
-        pos, value = stack[-1]
+            elif best_first:
+                for value in (False, True):
+                    child = (node, len(path) + 1, pos, value)
+                    heapq.heappush(frontier, (lower, next(tie), child))
+                if len(frontier) > FRONTIER_LIMIT:
+                    raise FrontierLimitError(
+                        f"frontier exceeded {FRONTIER_LIMIT} states"
+                    )
+            else:
+                # Preferred value last, so it comes off first.  The stack
+                # holds at most two nodes per level, so needs no limit.
+                frontier.append((node, len(path) + 1, pos, True))
+                frontier.append((node, len(path) + 1, pos, False))
+
+        cancelled = cancel is not None and cancel.is_set()
+        if cancelled or time.perf_counter() > deadline:
+            break
+        if not frontier or best_first and (
+            frontier[0][0] >= incumbent_w - _prune_slack(incumbent_w)
+        ):
+            proven = True
+            break
+        node = heapq.heappop(frontier)[2] if best_first else frontier.pop()
+        # Back up to the deepest ancestor still on the trail (depth first,
+        # the parent) and decide the nodes below it.  Replayed ancestors
+        # propagated cleanly from this same root when they were expanded,
+        # so only the node's own decision can conflict.
+        steps = [node]
+        while (up := steps[-1][0]) is not None and (
+            up[1] > len(path) or path[up[1] - 1] is not up
+        ):
+            steps.append(up)
+        level = steps[-1][1] - 1
+        prop.backtrack(level)
+        table.undo(level)
+        del path[level:]
+        for step in reversed(steps):
+            prop.decide(order[step[2]], step[3])
+            clean = prop.propagate()
+            if clean:
+                table.update(prop)
+                path.append(step)
         decisions += 1
-        prop.decide(order[pos], value)
-        conflict = not prop.propagate()
-        if not conflict:
-            table.update(prop)
 
     if proven and incumbent is None:
         raise UnsatisfiableError("search space exhausted without a model")
@@ -577,8 +611,14 @@ def solve_branch_and_bound(
     )
 
 
-# ---------------------------------------------------------------------------
-# Best first
+def solve_branch_and_bound(
+    instance: WcnfInstance,
+    config: SolverConfig,
+    cancel: Optional[threading.Event] = None,
+) -> Solution:
+    """Depth-first branch and bound (see ``_search``), whatever
+    ``config.strategy`` says."""
+    return _search(instance, config, cancel, best_first=False)
 
 
 def solve_best_first(
@@ -586,70 +626,9 @@ def solve_best_first(
     config: SolverConfig,
     cancel: Optional[threading.Event] = None,
 ) -> Solution:
-    """Uniform-cost search over partial event assignments.
-
-    States are decision sequences; the priority is the weight already
-    paid after propagation.  Weights are non-negative, so the first
-    popped state whose clauses are all satisfied is optimal.  The state
-    space is a tree (the branching variable is a function of the state),
-    so no duplicate detection is needed.
-    """
-    start = time.perf_counter()
-    deadline = start + config.time_budget
-    prop = _root_propagator(instance)
-    order = _decision_order(instance, config)
-    decisions = 0
-    cancelled = False
-    model: Optional[tuple[int, ...]] = None
-
-    tie = count()
-    heap: list[tuple[float, int, tuple[tuple[int, bool], ...]]] = [
-        (prop.cost, next(tie), ())
-    ]
-    while heap:
-        cancelled = cancel is not None and cancel.is_set()
-        if cancelled or time.perf_counter() > deadline:
-            break
-        _, _, path = heapq.heappop(heap)
-        prop.backtrack(0)
-        # A state is pushed only after its path propagated cleanly from
-        # this same root, so replaying it cannot conflict.
-        for var, value in path:
-            prop.decide(var, value)
-            prop.propagate()
-        if prop.all_clauses_satisfied():
-            # Every clause already has a true literal, so open variables
-            # can all be set false.
-            model = (0, *(v or -1 for v in prop.val[1:]))
-            break
-        # Some event is open: once every event is set, propagation sets
-        # every gate, and without a conflict the watched pairs then leave
-        # no clause unsatisfied.
-        var = next(v for v in order if prop.val[v] == 0)
-        base = len(path)
-        for value in (False, True):
-            prop.decide(var, value)
-            decisions += 1
-            if prop.propagate():
-                heapq.heappush(
-                    heap, (prop.cost, next(tie), path + ((var, value),))
-                )
-                if len(heap) > FRONTIER_LIMIT:
-                    raise FrontierLimitError(
-                        f"frontier exceeded {FRONTIER_LIMIT} states"
-                    )
-            prop.backtrack(base)
-    else:
-        raise UnsatisfiableError("search space exhausted without a model")
-
-    elapsed = time.perf_counter() - start
-    return Solution(
-        assignment=model,
-        weight=math.inf if model is None else _exact_weight(model, instance),
-        proven=model is not None,
-        stats=SearchStats(decisions, prop.propagations, elapsed, cancelled),
-        solver_id=config.solver_id,
-    )
+    """Best-first branch and bound (see ``_search``): A* order over the
+    same nodes, bound and pruning, whatever ``config.strategy`` says."""
+    return _search(instance, config, cancel, best_first=True)
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +641,11 @@ def solve_portfolio(
 ) -> Solution:
     """Run all configurations concurrently; first proven result wins.
 
-    Workers share the immutable instance and poll a cancellation flag at
-    every decision, so losers stop within a small grace period once a
-    winner reports.  If nobody proves optimality in budget, the best
+    ``config.strategy`` picks each worker's frontier order (see
+    ``_search``).  Workers share the immutable instance and poll a
+    cancellation flag before their root bound pass and at every
+    decision, so losers stop within a small grace period once a winner
+    reports.  If nobody proves optimality in budget, the best
     incumbent is returned unproven.  Only if every worker raises does
     the portfolio raise, aggregating the errors.
     """

@@ -126,16 +126,6 @@ def test_propagator_cost_and_backtrack():
     assert prop.val[1] == 0
 
 
-def test_propagator_all_clauses_satisfied():
-    cnf = CnfFormula(num_vars=2, clauses=((1, 2), (-1, 2)))
-    prop = Propagator(cnf, {})
-    prop.assert_units()
-    assert not prop.all_clauses_satisfied()
-    prop.decide(2, True)
-    prop.propagate()
-    assert prop.all_clauses_satisfied()
-
-
 # ---------------------------------------------------------------------------
 # Strategy correctness
 
@@ -244,7 +234,10 @@ def test_root_bound_table_is_built_once(fire_instance, monkeypatch):
     assert len(calls) == 1
 
 
-def test_root_bound_table_is_built_once_in_a_search(monkeypatch):
+@pytest.mark.parametrize(
+    "search", [solve_branch_and_bound, solve_best_first], ids=["bnb", "bestfirst"]
+)
+def test_root_bound_table_is_built_once_in_a_search(search, monkeypatch):
     """Branching keeps the root table current instead of recomputing it."""
     calls = []
 
@@ -254,7 +247,7 @@ def test_root_bound_table_is_built_once_in_a_search(monkeypatch):
 
     instance = build_wcnf(_seeded_dag(200, 0.3, 1))
     monkeypatch.setattr(solver, "_residual_bound", counted)
-    sol = solve_branch_and_bound(instance, SolverConfig())
+    sol = search(instance, SolverConfig())
     assert sol.proven
     assert sol.stats.decisions == 270
     assert len(calls) == 1
@@ -366,28 +359,40 @@ def test_branch_and_bound_budget_returns_incumbent():
 
 
 def test_best_first_budget_returns_empty():
-    t = random_fault_tree(GeneratorParams(nodes=1000, seed=3))
-    instance = build_wcnf(t)
-    sol = solve_best_first(instance, SolverConfig(time_budget=1e-6))
-    assert not sol.proven
-    assert sol.assignment is None
-    assert sol.weight == math.inf
+    """The blocking clause spans three events, so there is no warm-start
+    incumbent for either search to return."""
+    instance = _tied_tree_second_solve()
+    for search in (solve_best_first, solve_branch_and_bound):
+        sol = search(instance, SolverConfig(time_budget=1e-6))
+        assert not sol.proven
+        assert sol.assignment is None
+        assert sol.weight == math.inf
 
 
-def test_pre_set_cancel_flag_stops_both(fire_instance):
+def test_pre_set_cancel_flag_stops_both(fire_instance, monkeypatch):
+    """A search cancelled before it starts skips the bound pass and the
+    warm start."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _residual_bound(*args)
+
+    monkeypatch.setattr(solver, "_residual_bound", counted)
     cancel = threading.Event()
     cancel.set()
     for config in (SolverConfig(), SolverConfig(strategy=Strategy.BEST_FIRST)):
         sol = _solve(fire_instance, config, cancel)
         assert not sol.proven
         assert sol.stats.cancelled
+    assert len(calls) == 0
 
 
-def test_frontier_limit_raises(fire_instance, monkeypatch):
+def test_frontier_limit_raises(monkeypatch):
     monkeypatch.setattr(solver, "FRONTIER_LIMIT", 1)
     cfg = SolverConfig(strategy=Strategy.BEST_FIRST)
     with pytest.raises(FrontierLimitError):
-        solve_best_first(fire_instance, cfg)
+        solve_best_first(build_wcnf(_four_event_dag()), cfg)
 
 
 def test_branch_costs_grow_along_paths():
@@ -515,17 +520,18 @@ def _tied_tree_second_solve():
 
 
 @pytest.mark.parametrize(
-    "make, bnb_decisions, bnb_propagations, bestfirst_decisions",
+    "make, bnb_decisions, bnb_propagations, bestfirst_decisions, "
+    "bestfirst_propagations",
     [
-        (lambda: build_wcnf(_four_event_dag()), 2, 6, 4),
-        (lambda: build_wcnf(_seeded_dag(200, 0.3, 1)), 270, 361, 606),
-        (lambda: build_wcnf(_seeded_dag(300, 0.3, 3)), 528, 635, 3240),
-        (_tied_tree_second_solve, 94, 99, 4956),
+        (lambda: build_wcnf(_four_event_dag()), 2, 6, 2, 6),
+        (lambda: build_wcnf(_seeded_dag(200, 0.3, 1)), 270, 361, 270, 496),
+        (lambda: build_wcnf(_seeded_dag(300, 0.3, 3)), 528, 635, 528, 1113),
+        (_tied_tree_second_solve, 94, 99, 105, 230),
     ],
     ids=["four-event", "dag-200-1", "dag-300-3", "ties-100-2-blocked"],
 )
 def test_search_counts_are_frozen(make, bnb_decisions, bnb_propagations,
-                                  bestfirst_decisions):
+                                  bestfirst_decisions, bestfirst_propagations):
     """A change to the search that alters these counts must say so."""
     instance = make()
     bnb = solve_branch_and_bound(instance, SolverConfig())
@@ -535,7 +541,20 @@ def test_search_counts_are_frozen(make, bnb_decisions, bnb_propagations,
     assert (bnb.stats.decisions, bnb.stats.propagations) == (
         bnb_decisions, bnb_propagations
     )
-    assert best.stats.decisions == bestfirst_decisions
+    assert (best.stats.decisions, best.stats.propagations) == (
+        bestfirst_decisions, bestfirst_propagations
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 3, 4])
+def test_portfolio_best_first_member_proves_small_dags(seed):
+    """The portfolio's best-first member prunes and seeds with branch and
+    bound's bound table, so it proves the DAGs branch and bound proves."""
+    instance = build_wcnf(_seeded_dag(200, 0.3, seed))
+    sol = solve_best_first(instance, default_portfolio(time_budget=60)[1])
+    want = solve_branch_and_bound(instance, SolverConfig())
+    assert sol.proven
+    assert sol.weight == pytest.approx(want.weight, rel=1e-9, abs=0)
 
 
 def test_dag_700_is_proven_with_frozen_counts():
@@ -628,24 +647,24 @@ def test_portfolio_reports_cancelled_losers():
         assert r.within_grace
 
 
-def test_portfolio_all_errors_aggregate(fire_instance, monkeypatch):
+def test_portfolio_all_errors_aggregate(monkeypatch):
     monkeypatch.setattr(solver, "FRONTIER_LIMIT", 1)
     configs = [
         SolverConfig(strategy=Strategy.BEST_FIRST),
         SolverConfig(strategy=Strategy.BEST_FIRST, var_order=VarOrder.ASCENDING_WEIGHT),
     ]
     with pytest.raises(PortfolioError) as info:
-        solve_portfolio(fire_instance, configs)
+        solve_portfolio(build_wcnf(_four_event_dag()), configs)
     assert len(info.value.errors) == 2
 
 
-def test_portfolio_survives_one_failing_worker(fire_instance, fire_weights, monkeypatch):
+def test_portfolio_survives_one_failing_worker(monkeypatch):
     monkeypatch.setattr(solver, "FRONTIER_LIMIT", 1)
     configs = [
         SolverConfig(strategy=Strategy.BEST_FIRST),
         SolverConfig(),
     ]
-    sol = solve_portfolio(fire_instance, configs)
+    sol = solve_portfolio(build_wcnf(_four_event_dag()), configs)
     assert sol.proven
     assert sol.solver_id == "bnb-desc"
     failed = [r for r in sol.workers if r.error is not None]
