@@ -63,6 +63,7 @@ def _report(
     solver_id: str,
     elapsed: float,
 ) -> dict:
+    hard = instance.hard
     return {
         "cut_set": sorted(result.cut_set) if result is not None else None,
         "log_weight": result.log_weight if result is not None else None,
@@ -73,8 +74,8 @@ def _report(
         "stats": {
             "events": len(tree.event_ids),
             "gates": len(tree.gate_ids),
-            "vars": instance.hard.num_vars,
-            "hard_clauses": len(instance.hard.clauses),
+            "vars": hard.num_vars,
+            "hard_clauses": len(hard.clauses),
         },
     }
 

@@ -1,11 +1,10 @@
-"""CNF encoding and weighted-instance assembly.
+"""Weighted-instance assembly, and the CNF encoding it exports.
 
-The failure formula is turned into an equisatisfiable CNF with one
-variable per basic event and one auxiliary variable per gate (full
-biconditional Tseitin clauses, plus a unit clause asserting the root).
-Event probabilities move to log space, ``w = -ln p``, so that minimising a
-sum of falsified soft-clause weights maximises the joint probability of
-the chosen events.
+The failure formula is compiled to a circuit with one variable per basic
+event and one per gate, which the solver works on.  Event probabilities
+move to log space, ``w = -ln p``, so that minimising a sum of falsified
+soft-clause weights maximises the joint probability of the chosen
+events.  The circuit's Tseitin CNF is derived only for export.
 
 Literals are DIMACS-style signed integers: ``v`` is the positive literal
 of variable ``v >= 1`` and ``-v`` its negation.
@@ -19,8 +18,7 @@ from typing import Iterable
 
 from .fault_tree import BasicEvent, FaultTree, GateOp
 
-Literal = int
-Clause = tuple[Literal, ...]
+Clause = tuple[int, ...]
 # One (is_and, child variables) pair per gate, in gate-variable order.
 Circuit = tuple[tuple[bool, tuple[int, ...]], ...]
 
@@ -56,26 +54,52 @@ WeightMap = dict[str, float]
 class WcnfInstance:
     """Weighted partial MaxSAT instance for one fault tree.
 
-    ``hard`` asserts that the failure formula holds.  ``soft`` holds one
-    ``(event variable, weight)`` pair per basic event; the implied unit
-    soft clause prefers the event variable false, so the weight is paid
-    exactly when the event takes part in the failure.
-
     ``circuit`` is the failure formula compiled to variables: entry ``i``
     is ``(is_and, child_vars)`` for gate variable ``E + 1 + i``, where
     ``E`` is the number of events (variables ``1..E``).  Every child
     variable is smaller than its gate's, so one forward pass over the
     circuit values children before parents; the root is
     ``var_map.root_var`` (an event variable when the top is an event).
-    ``tree_shaped`` records that no variable is a child twice, i.e. no
-    node is shared.
+    The last ``blocking`` gates are AND gates over blocked cut sets.  The
+    hard constraints are the circuit itself: the root is true and every
+    blocking gate is false.  ``tree_shaped`` records that no variable is
+    a child of two of the fault tree's gates, i.e. no node is shared.
+
+    ``soft`` holds one ``(event variable, weight)`` pair per basic event;
+    the implied unit soft clause prefers the event variable false, so the
+    weight is paid exactly when the event takes part in the failure.
     """
 
-    hard: CnfFormula
     soft: tuple[tuple[int, float], ...]
     var_map: VarMap
     circuit: Circuit
     tree_shaped: bool
+    blocking: int = 0
+
+    @property
+    def hard(self) -> CnfFormula:
+        """The Tseitin CNF of the hard constraints, derived on each read.
+
+        Each fault-tree gate ``g`` emits its full biconditional: AND as
+        ``(-g c_i)`` per child then ``(g -c_1 .. -c_k)``, OR as
+        ``(-g c_1 .. c_k)`` then ``(g -c_i)`` per child.  A unit clause
+        asserts the root, and each blocking gate is its single clause
+        ``(-c_1 .. -c_k)``, with no variable of its own.  Restricted to
+        event variables, the models are exactly the event sets that fail
+        the top and contain no blocked set.
+        """
+        gates = len(self.circuit) - self.blocking
+        clauses: list[Clause] = []
+        for g, (is_and, kids) in enumerate(self.circuit[:gates], len(self.soft) + 1):
+            if is_and:
+                clauses.extend((-g, c) for c in kids)
+                clauses.append(tuple(-c for c in kids) + (g,))
+            else:
+                clauses.append((-g,) + kids)
+                clauses.extend((-c, g) for c in kids)
+        clauses.append((self.var_map.root_var,))
+        clauses.extend(tuple(-c for c in kids) for _, kids in self.circuit[gates:])
+        return CnfFormula(num_vars=len(self.soft) + gates, clauses=tuple(clauses))
 
 
 def to_log_space(p: float) -> float:
@@ -102,19 +126,13 @@ def build_wcnf(tree: FaultTree) -> WcnfInstance:
     """Compile a fault tree into its weighted partial MaxSAT instance.
 
     One pass over ``tree.order`` (children before parents) numbers the
-    nodes and emits the clauses.  Events take variables ``1..E`` in the
+    nodes and builds the circuit.  Events take variables ``1..E`` in the
     order the walk first meets them (a leaf finishes as soon as it is
     met); gates take ``E+1..`` in the order it finishes them, one
-    auxiliary variable per gate however often it is shared.  Every gate
-    emits the full biconditional:
-
-        g <-> AND(c1..ck):  (-g c_i) for each i,  (g -c_1 .. -c_k)
-        g <-> OR(c1..ck):   (-g c_1 .. c_k),      (g -c_i) for each i
-
-    followed by a unit clause on the root variable, so the hard CNF
-    asserts that the failure formula is true; restricted to event
-    variables, its models are exactly the event sets that fail the top.
-    (The flipped success-tree reading makes this the complement of the
+    variable per gate however often it is shared.  The hard constraint
+    is that the root is true; restricted to event variables, its models
+    are exactly the event sets that fail the top.  (The flipped
+    success-tree reading makes this the complement of the
     all-events-held success condition, so no negated leaves are ever
     needed.)  Soft clauses prefer each event false at cost ``-ln p``;
     minimising the falsified weight therefore maximises the joint
@@ -124,7 +142,6 @@ def build_wcnf(tree: FaultTree) -> WcnfInstance:
     var_of: dict[str, int] = {}
     soft: list[tuple[int, float]] = []
     circuit: list[tuple[bool, tuple[int, ...]]] = []
-    clauses: list[Clause] = []
     for nid in tree.order:
         node = tree.nodes[nid]
         if isinstance(node, BasicEvent):
@@ -132,28 +149,17 @@ def build_wcnf(tree: FaultTree) -> WcnfInstance:
             soft.append((var, to_log_space(node.probability)))
             var_of[nid] = var
             continue
-        is_and = node.op is GateOp.AND
-        kids = tuple(var_of[c] for c in node.children)
-        circuit.append((is_and, kids))
-        g = var_of[nid] = num_events + len(circuit)
-        if is_and:
-            clauses.extend((-g, c) for c in kids)
-            clauses.append(tuple(-c for c in kids) + (g,))
-        else:
-            clauses.append((-g,) + kids)
-            clauses.extend((-c, g) for c in kids)
-    root_var = var_of[tree.top]
-    clauses.append((root_var,))
+        circuit.append((node.op is GateOp.AND, tuple(var_of[c] for c in node.children)))
+        var_of[nid] = num_events + len(circuit)
 
     var_of_event = {nid: v for nid, v in var_of.items() if v <= num_events}
     var_map = VarMap(
         var_of_event=var_of_event,
         event_of_var={v: e for e, v in var_of_event.items()},
-        root_var=root_var,
+        root_var=var_of[tree.top],
     )
     children = [c for _, kids in circuit for c in kids]
     return WcnfInstance(
-        hard=CnfFormula(num_vars=num_events + len(circuit), clauses=tuple(clauses)),
         soft=tuple(soft),
         var_map=var_map,
         circuit=tuple(circuit),
@@ -169,14 +175,15 @@ def format_wcnf(instance: WcnfInstance) -> str:
 
     Soft weights are scaled to integers by ``round(w * 10^6)``; the hard
     weight ``top`` is the scaled soft total plus one.  Output is
-    deterministic byte for byte: hard clauses in encoding order, then one
-    unit soft clause per event variable preferring it false.
+    deterministic byte for byte: the ``hard`` clauses in encoding order,
+    then one unit soft clause per event variable preferring it false.
     """
+    hard = instance.hard
     scaled = [(var, round(w * WCNF_WEIGHT_SCALE)) for var, w in instance.soft]
     top = sum(s for _, s in scaled) + 1
-    num_clauses = len(instance.hard.clauses) + len(scaled)
-    lines = [f"p wcnf {instance.hard.num_vars} {num_clauses} {top}"]
-    for clause in instance.hard.clauses:
+    num_clauses = len(hard.clauses) + len(scaled)
+    lines = [f"p wcnf {hard.num_vars} {num_clauses} {top}"]
+    for clause in hard.clauses:
         lines.append(f"{top} " + " ".join(str(l) for l in clause) + " 0")
     for var, s in scaled:
         lines.append(f"{s} -{var} 0")

@@ -32,7 +32,6 @@ from itertools import count
 from typing import Iterable, Optional, Sequence
 
 from .encoding import (
-    CnfFormula,
     WcnfInstance,
     WeightMap,
     build_wcnf,
@@ -51,7 +50,7 @@ TIE_REL_TOL = 1e-9
 
 
 class UnsatisfiableError(RuntimeError):
-    """Hard clauses admit no model (impossible for a valid fault tree)."""
+    """Hard constraints admit no model (only blocking gates can cause this)."""
 
 
 class FrontierLimitError(RuntimeError):
@@ -146,7 +145,7 @@ class WorkerReport:
 
 @dataclass(frozen=True)
 class Solution:
-    """Outcome of one solve: a model over all CNF variables plus bookkeeping.
+    """Outcome of one solve: a model over all circuit variables plus bookkeeping.
 
     ``assignment`` maps variable index to +1/-1 (index 0 unused); it is
     None only when a budget ran out before any incumbent existed.
@@ -175,106 +174,102 @@ class MpmcsResult:
 # Propagation engine
 
 
-def _widx(lit: int) -> int:
-    return 2 * lit if lit > 0 else -2 * lit + 1
-
-
 class Propagator:
-    """Two-watched-literal unit propagation with a backtrackable trail.
+    """Unit propagation on the circuit's gates, with a backtrackable trail.
 
-    Clause literal positions 0 and 1 are the watched pair.  The running
-    ``cost`` is the weight of soft variables currently assigned true;
-    it is maintained incrementally and only used for pruning decisions,
-    never for reported totals.
+    Write ``c`` for a gate's controlling value (false for AND, true for
+    OR).  A child with value ``c`` gives its gate ``c``; once every child
+    holds ``-c``, so does the gate; a gate with ``-c`` gives it to every
+    child; a gate with ``c`` whose children all hold ``-c`` but one open
+    child forces that child to ``c``: unit propagation on each gate's
+    Tseitin clauses.  Per variable ``v``: ``ctl[v]`` is its controlling
+    value as a gate (-1 AND, 1 OR, 0 for an event), ``kids[v]`` its
+    children, ``parents[v]`` the gates with child ``v``, ``_other[v]``
+    its children holding ``-c``.  ``assert_units`` asserts the root true
+    and every blocking gate false.  The running ``cost``, the weight of
+    the events assigned true, serves pruning only, never reported totals.
     """
 
-    def __init__(self, cnf: CnfFormula, weight_of_var: dict[int, float]):
-        n = cnf.num_vars
-        self.clauses = [list(c) for c in cnf.clauses]
-        self.val = [0] * (n + 1)
-        self.weight = [0.0] * (n + 1)
-        for v, w in weight_of_var.items():
+    def __init__(self, instance: WcnfInstance):
+        first_gate = len(instance.var_map.var_of_event) + 1
+        n = first_gate + len(instance.circuit)
+        self.val = [0] * n
+        self.weight = [0.0] * n
+        for v, w in instance.soft:
             self.weight[v] = w
-        self.watches: list[list[int]] = [[] for _ in range(2 * n + 2)]
+        self.ctl = [0] * first_gate + [-1 if a else 1 for a, _ in instance.circuit]
+        self.kids = [()] * first_gate + [kids for _, kids in instance.circuit]
+        self.parents: list[list[int]] = [[] for _ in range(n)]
+        for g in range(first_gate, n):
+            for c in self.kids[g]:
+                self.parents[c].append(g)
+        self._other = [0] * n
+        self._units = [instance.var_map.root_var]
+        for g in range(n - instance.blocking, n):
+            # One event's blocking gate is a unit clause: assert the event.
+            self._units += [-g, -self.kids[g][0]] if len(self.kids[g]) == 1 else [-g]
         self.trail: list[int] = []
         self.level_starts: list[int] = []
         self.qhead = 0
         self.cost = 0.0
         self.propagations = 0
-        self._unit_lits: list[int] = []
-        for ci, clause in enumerate(self.clauses):
-            if len(clause) == 1:
-                self._unit_lits.append(clause[0])
-            else:
-                self.watches[_widx(clause[0])].append(ci)
-                self.watches[_widx(clause[1])].append(ci)
 
-    def lit_val(self, lit: int) -> int:
-        v = self.val[abs(lit)]
-        return v if lit > 0 else -v
-
-    def _enqueue(self, lit: int) -> None:
-        v = abs(lit)
-        if lit > 0:
-            self.val[v] = 1
+    def _set(self, v: int, x: int) -> bool:
+        """Give an open ``v`` the value ``x``; False if ``v`` holds ``-x``."""
+        if self.val[v]:
+            return self.val[v] == x
+        self.val[v] = x
+        if x > 0:
             self.cost += self.weight[v]
-        else:
-            self.val[v] = -1
-        self.trail.append(lit)
+        for p in self.parents[v]:
+            if x != self.ctl[p]:
+                self._other[p] += 1
+        self.trail.append(v if x > 0 else -v)
+        return True
+
+    def _last_child(self, g: int) -> bool:
+        """For ``g`` holding its controlling value: conflict when no child
+        can hold it too, force the one child left that can."""
+        kids, c = self.kids[g], self.ctl[g]
+        left = len(kids) - self._other[g]
+        if left == 1:
+            return self._set(next(k for k in kids if self.val[k] != -c), c)
+        return left > 0
 
     def assert_units(self) -> bool:
-        """Enqueue the initial unit clauses; False if they already clash."""
-        for lit in self._unit_lits:
-            lv = self.lit_val(lit)
-            if lv == -1:
-                return False
-            if lv == 0:
-                self._enqueue(lit)
-        return self.propagate()
+        """Assert the root and the blocking gates; False on conflict."""
+        units = all(self._set(abs(u), 1 if u > 0 else -1) for u in self._units)
+        return units and self.propagate()
 
     def decide(self, var: int, value: bool) -> None:
         self.level_starts.append(len(self.trail))
-        self._enqueue(var if value else -var)
+        self._set(var, 1 if value else -1)
 
     def propagate(self) -> bool:
         """Propagate everything pending; False on conflict."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            falsified = -lit
-            watch_list = self.watches[_widx(falsified)]
-            kept: list[int] = []
-            conflict = False
-            i = 0
-            while i < len(watch_list):
-                ci = watch_list[i]
-                i += 1
-                clause = self.clauses[ci]
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
-                other = clause[0]
-                ov = self.lit_val(other)
-                if ov == 1:
-                    kept.append(ci)
-                    continue
-                for k in range(2, len(clause)):
-                    cand = clause[k]
-                    if self.lit_val(cand) != -1:
-                        clause[1], clause[k] = cand, falsified
-                        self.watches[_widx(cand)].append(ci)
-                        break
-                else:
-                    kept.append(ci)
-                    if ov == -1:
-                        kept.extend(watch_list[i:])
-                        conflict = True
-                        break
-                    self._enqueue(other)
-                    self.propagations += 1
-            self.watches[_widx(falsified)] = kept
-            if conflict:
-                return False
-        return True
+        trail, val, ctl, kids, other = (
+            self.trail, self.val, self.ctl, self.kids, self._other
+        )
+        start = len(trail)
+        try:
+            while self.qhead < len(trail):
+                lit = trail[self.qhead]
+                self.qhead += 1
+                v, x = (lit, 1) if lit > 0 else (-lit, -1)
+                if ctl[v] == x:
+                    if not self._last_child(v):
+                        return False
+                elif ctl[v] and not all(self._set(k, x) for k in kids[v]):
+                    return False
+                for p in self.parents[v]:
+                    if ctl[p] == x or other[p] == len(kids[p]):
+                        if not self._set(p, x):
+                            return False
+                    elif val[p] == ctl[p] and not self._last_child(p):
+                        return False
+            return True
+        finally:
+            self.propagations += len(trail) - start
 
     def backtrack(self, level: int) -> None:
         """Undo all decisions beyond ``level`` (0 keeps only root units)."""
@@ -283,10 +278,13 @@ class Propagator:
         pos = self.level_starts[level]
         del self.level_starts[level:]
         for lit in reversed(self.trail[pos:]):
-            v = abs(lit)
-            if lit > 0:
+            v, x = (lit, 1) if lit > 0 else (-lit, -1)
+            if x > 0:
                 self.cost -= self.weight[v]
             self.val[v] = 0
+            for p in self.parents[v]:
+                if x != self.ctl[p]:
+                    self._other[p] -= 1
         del self.trail[pos:]
         self.qhead = len(self.trail)
 
@@ -309,23 +307,12 @@ def _exact_weight(val: Sequence[int], instance: WcnfInstance) -> float:
     return math.fsum(w for var, w in instance.soft if val[var] > 0)
 
 
-def _satisfies(clauses: Sequence[Sequence[int]], val: Sequence[int]) -> bool:
-    """Whether every clause has a literal that is true under ``val``."""
-    for clause in clauses:
-        for lit in clause:
-            if (val[lit] if lit > 0 else -val[-lit]) == 1:
-                break
-        else:
-            return False
-    return True
-
-
 def complete_assignment(
     instance: WcnfInstance, true_events: Iterable[str]
 ) -> tuple[int, ...]:
     """Model with exactly ``true_events`` true and every gate evaluated."""
     var_of_event = instance.var_map.var_of_event
-    val = [-1] * (instance.hard.num_vars + 1)
+    val = [-1] * (len(var_of_event) + len(instance.circuit) + 1)
     val[0] = 0
     for eid in true_events:
         val[var_of_event[eid]] = 1
@@ -336,6 +323,12 @@ def complete_assignment(
             true = any(val[c] > 0 for c in kids)
         val[g] = 1 if true else -1
     return tuple(val)
+
+
+def _meets_hard(instance: WcnfInstance, val: Sequence[int]) -> bool:
+    """Whether ``val`` holds the root true and every blocking gate false."""
+    blocking = val[len(val) - instance.blocking:]
+    return val[instance.var_map.root_var] > 0 and all(v < 0 for v in blocking)
 
 
 def _residual_bound(
@@ -383,37 +376,25 @@ class _BoundTable:
     ``undo(level)`` restores the entries logged since that level, as
     ``Propagator.backtrack(level)`` does for values; a level whose
     propagate conflicted was never updated and has nothing to undo.
-
-    The parent index is built by the first ``update``, so a solve that
-    proves at the root, as every tree without blocking clauses does,
-    never pays for it.
+    Gates and parents come from the propagator's per-variable arrays.
     """
 
     def __init__(self, instance: WcnfInstance, prop: Propagator):
         self.bound = _residual_bound(instance, prop.val, prop.weight)
-        self._circuit = instance.circuit
-        self._first_gate = len(instance.var_map.var_of_event) + 1
         self._combine = math.fsum if instance.tree_shaped else max
-        self._parents: Optional[list[list[int]]] = None
         self._log: list[tuple[int, float]] = []  # (variable, entry before)
         self._marks: list[int] = []  # log length at the start of each level
 
     def update(self, prop: Propagator) -> None:
         """Bring the table up to date with the newest decision level."""
-        if self._parents is None:
-            self._parents = [[] for _ in self.bound]
-            for g, (_, kids) in enumerate(self._circuit, self._first_gate):
-                for c in kids:
-                    self._parents[c].append(g)
-        parents, bound, log = self._parents, self.bound, self._log
-        val, circuit, combine = prop.val, self._circuit, self._combine
-        first_gate = self._first_gate
+        parents, bound, log = prop.parents, self.bound, self._log
+        val, ctl, kids, combine = prop.val, prop.ctl, prop.kids, self._combine
         self._marks.append(len(log))
         # Children have smaller variables than their gates, so popping in
         # increasing order recomputes each gate once, after its children.
         queue = [
             abs(lit) for lit in prop.trail[prop.level_starts[-1]:]
-            if lit < 0 or lit < first_gate  # true gates keep their entries
+            if lit < 0 or not ctl[lit]  # true gates keep their entries
         ]
         queued = set(queue)
         heapq.heapify(queue)
@@ -421,12 +402,11 @@ class _BoundTable:
             v = heapq.heappop(queue)
             if val[v] < 0:
                 new = math.inf
-            elif v < first_gate:
+            elif not ctl[v]:
                 new = 0.0
             else:
-                is_and, kids = circuit[v - first_gate]
-                child_bounds = [bound[c] for c in kids]
-                new = combine(child_bounds) if is_and else min(child_bounds)
+                child_bounds = [bound[c] for c in kids[v]]
+                new = combine(child_bounds) if ctl[v] < 0 else min(child_bounds)
             if bound[v] != new:
                 log.append((v, bound[v]))
                 bound[v] = new
@@ -464,14 +444,6 @@ def _cheapest_events(instance: WcnfInstance, bound: Sequence[float]) -> list[str
     return [event_of_var[v] for v in seen if v < first_gate]
 
 
-def _root_propagator(instance: WcnfInstance) -> Propagator:
-    """Propagator over the hard clauses with the root units asserted."""
-    prop = Propagator(instance.hard, dict(instance.soft))
-    if not prop.assert_units():
-        raise UnsatisfiableError("hard clauses conflict at root level")
-    return prop
-
-
 def _prune_slack(incumbent: float) -> float:
     # Relative, so float noise in large accumulated sums cannot keep
     # provably-dead branches alive, while an incumbent smaller than
@@ -502,8 +474,8 @@ def _search(
     re-evaluates only the ancestors of the variables it assigned, and
     backtracking restores the entries it changed.  A node branches on
     the next open event in ``_decision_order`` after its own; auxiliary
-    variables are never decided, the biconditional clauses force them
-    once the events settle.
+    variables are never decided, gate propagation forces them once the
+    events settle.
 
     A node is one decision with a parent link, ``(parent, depth,
     position in order, value)``; the root is None.  Depth first, the
@@ -516,7 +488,9 @@ def _search(
     """
     start = time.perf_counter()
     deadline = start + config.time_budget
-    prop = _root_propagator(instance)
+    prop = Propagator(instance)
+    if not prop.assert_units():
+        raise UnsatisfiableError("hard constraints conflict at root level")
     order = _decision_order(instance, config)
     root = instance.var_map.root_var
     decisions = 0
@@ -531,8 +505,8 @@ def _search(
         table = _BoundTable(instance, prop)
         bound = table.bound
         warm = complete_assignment(instance, _cheapest_events(instance, bound))
-        # Blocking clauses over several events can rule the walked set out.
-        if _satisfies(instance.hard.clauses, warm):
+        # Blocking gates over several events can rule the walked set out.
+        if _meets_hard(instance, warm):
             incumbent = warm
             incumbent_w = _exact_weight(warm, instance)
 
@@ -720,32 +694,46 @@ def extract_mpmcs(
     solution may carry a redundant member lighter than that, such as an
     event whose probability is that close to 1.
 
-    Each trial re-evaluates only the gates the model keeps true.  The
-    model satisfies the hard clauses, so its gate values are the
-    circuit's values, and the circuit is monotone: a gate false under
-    the model stays false under every subset of the model's events.
+    The model must be the circuit's evaluation of its own events, with
+    the root true and every blocking gate false.  The circuit is
+    monotone, so a gate false under the model stays false under every
+    subset of its events.  The sweep keeps the true gates above each
+    true variable and a slack per true variable (1 for an event or AND
+    gate, the number of true children for an OR gate); a trial drop
+    walks only the variables whose slack reaches 0, and is undone if
+    the root is among them.
     """
     if solution.assignment is None:
         raise ValueError("solution carries no model to extract from")
     val = solution.assignment
-    if not _satisfies(instance.hard.clauses, val):
-        raise InconsistencyError("solution does not satisfy the hard clauses")
     var_of_event = instance.var_map.var_of_event
     cut = {eid for eid, var in var_of_event.items() if val[var] > 0}
+    if val != complete_assignment(instance, cut) or not _meets_hard(instance, val):
+        raise InconsistencyError("solution is not a model of the hard constraints")
     root = instance.var_map.root_var
-    live = [
-        (g, is_and, kids)
-        for g, (is_and, kids) in enumerate(instance.circuit, len(var_of_event) + 1)
-        if val[g] > 0
-    ]
+    slack = [1 if v > 0 else 0 for v in val]
+    up: dict[int, list[int]] = {}
+    for g, (is_and, kids) in enumerate(instance.circuit, len(var_of_event) + 1):
+        if val[g] > 0:
+            true_kids = [c for c in kids if val[c] > 0]
+            for c in true_kids:
+                up.setdefault(c, []).append(g)
+            if not is_and:
+                slack[g] = len(true_kids)
     for eid in sorted(cut, key=lambda e: (-weights[e], e)):
-        trial = cut - {eid}
-        true = {var_of_event[e] for e in trial}
-        for g, is_and, kids in live:
-            if (all if is_and else any)(c in true for c in kids):
-                true.add(g)
-        if root in true:
-            cut = trial
+        fell = [var_of_event[eid]]
+        slack[fell[0]] = 0
+        for v in fell:  # grows as gates turn false
+            for g in up.get(v, ()):
+                slack[g] -= 1
+                if slack[g] == 0:
+                    fell.append(g)
+        if slack[root] > 0:
+            cut.discard(eid)
+        else:  # the root fell: undo the walk
+            slack[fell[0]] = 1
+            for g in (g for v in fell for g in up.get(v, ())):
+                slack[g] += 1
     if complete_assignment(instance, cut)[root] <= 0:
         raise InconsistencyError("extracted cut set does not fail the top event")
     ws = [weights[e] for e in cut]
@@ -760,13 +748,15 @@ def extract_mpmcs(
 
 
 def add_blocking_clause(instance: WcnfInstance, events: frozenset[str]) -> WcnfInstance:
-    """Forbid this exact cut set (and its supersets) in later solves."""
+    """Forbid this exact cut set (and its supersets) in later solves: the
+    circuit gains a blocking gate, an AND over ``events``."""
+    if not events:
+        raise ValueError("cannot block the empty set")
     var_of = instance.var_map.var_of_event
-    clause = tuple(-var_of[e] for e in sorted(events))
-    hard = CnfFormula(
-        num_vars=instance.hard.num_vars, clauses=instance.hard.clauses + (clause,)
+    gate = (True, tuple(var_of[e] for e in sorted(events)))
+    return replace(
+        instance, circuit=instance.circuit + (gate,), blocking=instance.blocking + 1
     )
-    return replace(instance, hard=hard)
 
 
 def compute_mpmcs(
@@ -797,7 +787,7 @@ def enumerate_optima(
 ) -> list[MpmcsResult]:
     """All cut sets tied (within ``TIE_REL_TOL``) for the optimal weight.
 
-    Each optimum found is blocked with a hard clause and the instance is
+    Each optimum found is blocked with a blocking gate and the instance is
     re-solved until the optimum weight rises or the instance becomes
     unsatisfiable.  Results come back in discovery order.  Raises
     ``OptimaTimeoutError``, carrying the optima found so far, if any solve

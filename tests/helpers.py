@@ -44,6 +44,27 @@ def small_random_tree(seed: int, max_nodes: int = 13) -> FaultTree:
     return random_fault_tree(GeneratorParams(nodes=nodes, seed=seed))
 
 
+def seeded_dag(nodes: int, share: float, seed: int) -> FaultTree:
+    """A seeded random tree plus ``share * #events`` extra gate -> event edges."""
+    base = random_fault_tree(GeneratorParams(nodes=nodes, seed=seed))
+    rng = random.Random(f"dag:{seed}")
+    children = {
+        n.id: list(n.children) for n in base.nodes.values() if isinstance(n, Gate)
+    }
+    gates, events = list(children), base.event_ids
+    extra = round(share * len(events))
+    while extra:
+        g, e = rng.choice(gates), rng.choice(events)
+        if e not in children[g]:
+            children[g].append(e)
+            extra -= 1
+    nodes_out = {
+        nid: Gate(nid, node.op, tuple(children[nid])) if nid in children else node
+        for nid, node in base.nodes.items()
+    }
+    return FaultTree(name="dag", nodes=nodes_out, top=base.top)
+
+
 def satisfying_event_sets(t: FaultTree) -> set[frozenset[str]]:
     """All event subsets that fail the top of ``t``, by direct evaluation."""
     out = set()
@@ -103,3 +124,36 @@ def is_minimal_cut(t: FaultTree, events: frozenset[str]) -> bool:
         if evaluate(t, {x: True for x in rest}):
             return False
     return True
+
+
+def unit_propagate(cnf: CnfFormula, decided: list[int]) -> list[int] | None:
+    """Naive unit propagation of ``cnf`` plus the ``decided`` literals.
+
+    Returns the value (+1/-1/0) of every variable at the fixpoint, index
+    0 unused, or None on a conflict.  Rescans every clause until nothing
+    changes; callers keep formulas small.
+    """
+    val = [0] * (cnf.num_vars + 1)
+    for lit in decided:
+        if val[abs(lit)] == (-1 if lit > 0 else 1):
+            return None
+        val[abs(lit)] = 1 if lit > 0 else -1
+    changed = True
+    while changed:
+        changed = False
+        for clause in cnf.clauses:
+            open_lits = []
+            for lit in clause:
+                value = val[lit] if lit > 0 else -val[-lit]
+                if value == 1:
+                    break
+                if value == 0:
+                    open_lits.append(lit)
+            else:
+                if not open_lits:
+                    return None
+                if len(open_lits) == 1:
+                    lit = open_lits[0]
+                    val[abs(lit)] = 1 if lit > 0 else -1
+                    changed = True
+    return val

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
-from helpers import all_models, project_models, satisfying_event_sets, tree
+from helpers import all_models, project_models, satisfying_event_sets, seeded_dag, tree
 from mpmcs.encoding import (
     WCNF_WEIGHT_SCALE,
     CnfFormula,
@@ -19,7 +21,10 @@ from mpmcs.encoding import (
     joint_probability,
     to_log_space,
 )
-from mpmcs.fault_tree import Gate
+from mpmcs.fault_tree import Gate, parse_fault_tree
+from mpmcs.solver import add_blocking_clause
+
+FIRE_PATH = Path(__file__).resolve().parent.parent / "data" / "fire_protection.json"
 
 
 def test_to_log_space_known_values():
@@ -214,6 +219,31 @@ def test_build_wcnf_flags_sharing():
         top="top",
     )
     assert not build_wcnf(t).tree_shaped
+
+
+def _blocked_dag():
+    instance = build_wcnf(seeded_dag(300, 0.3, 3))
+    instance = add_blocking_clause(instance, frozenset({"e1"}))
+    return add_blocking_clause(instance, frozenset({"e5", "e2"}))
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (lambda: build_wcnf(parse_fault_tree(FIRE_PATH.read_text(encoding="utf-8"))),
+         "82ea14d25545c8307ef03ffd19ef1d72c769d853e6e7dccb5d28af917f028c99"),
+        (lambda: build_wcnf(seeded_dag(200, 0.3, 1)),
+         "c20c1ff846f2f7a9d3d114f90e44928f02b62f6b9869bf65b1e0412196a176ae"),
+        (_blocked_dag,
+         "b2f41605085044164317a7271dee245883ca241f88b05cb0e1d4eb82d1721a7a"),
+    ],
+    ids=["fire", "dag-200-1", "dag-300-3-blocked"],
+)
+def test_format_wcnf_bytes_are_pinned(make, digest):
+    """The digests were taken while ``build_wcnf`` still emitted the
+    clauses and the solver propagated on them; deriving the clauses from
+    the circuit for export must not move a byte."""
+    assert hashlib.sha256(format_wcnf(make()).encode()).hexdigest() == digest
 
 
 def test_format_wcnf_layout(fire_instance):

@@ -8,16 +8,24 @@ import math
 import pickle
 import random
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
-from helpers import is_minimal_cut, satisfying_event_sets, small_random_tree, tree
+from helpers import (
+    is_minimal_cut,
+    satisfying_event_sets,
+    seeded_dag,
+    small_random_tree,
+    tree,
+    unit_propagate,
+)
 from mpmcs import solver
-from mpmcs.encoding import CnfFormula, build_wcnf, event_weights
-from mpmcs.fault_tree import BasicEvent, FaultTree, Gate, evaluate
+from mpmcs.encoding import build_wcnf, event_weights
+from mpmcs.fault_tree import BasicEvent, FaultTree, Gate, GateOp, evaluate
 from mpmcs.generator import GeneratorParams, random_fault_tree
 from mpmcs.oracle import enumerate_mcs, oracle_mpmcs
 from mpmcs.solver import (
@@ -63,54 +71,86 @@ def _solve(instance, config, cancel=None):
 # Propagator
 
 
+def _root_prop(spec: dict, top: str, blocked=()) -> Propagator:
+    """A propagator over ``tree(spec, top)`` with each set in ``blocked``
+    blocked.  ``build_wcnf`` numbers the events in the order a depth-first,
+    left-to-right walk from the top first meets them."""
+    instance = build_wcnf(tree(spec, top=top))
+    for events in blocked:
+        instance = add_blocking_clause(instance, frozenset(events))
+    return Propagator(instance)
+
+
 def test_propagator_unit_chain():
-    cnf = CnfFormula(num_vars=3, clauses=((1,), (-1, 2), (-2, 3)))
-    prop = Propagator(cnf, {})
+    # top = AND(g, a), g = AND(b, c): the root forces everything below it.
+    prop = _root_prop(
+        {"a": 0.5, "b": 0.5, "c": 0.5, "g": ("and", ["b", "c"]),
+         "top": ("and", ["g", "a"])},
+        top="top",
+    )
     assert prop.assert_units()
-    assert prop.val[1:] == [1, 1, 1]
-    assert prop.propagations >= 2
+    assert prop.val[1:] == [1, 1, 1, 1, 1]
+    assert prop.propagations == 4
 
 
 def test_propagator_root_conflict():
-    cnf = CnfFormula(num_vars=1, clauses=((1,), (-1,)))
-    prop = Propagator(cnf, {})
+    # A blocked event under an AND top.
+    prop = _root_prop({"a": 0.5, "b": 0.5, "top": ("and", ["a", "b"])},
+                      top="top", blocked=[{"a"}])
     assert not prop.assert_units()
 
 
-def test_propagator_watches_wide_clause():
-    cnf = CnfFormula(num_vars=3, clauses=((1, 2, 3),))
-    prop = Propagator(cnf, {})
+def test_propagator_wide_gate_forces_last_open_child():
+    prop = _root_prop({"a": 0.5, "b": 0.5, "c": 0.5, "top": ("or", ["a", "b", "c"])},
+                      top="top")
     assert prop.assert_units()
     prop.decide(1, False)
     assert prop.propagate()
-    assert prop.val[2] == prop.val[3] == 0  # two literals still open
+    assert prop.val[2] == prop.val[3] == 0  # two children still open
     prop.decide(2, False)
     assert prop.propagate()
-    assert prop.val[3] == 1  # clause became unit
+    assert prop.val[3] == 1  # the last open child is forced
 
 
 def test_propagator_conflicting_units():
-    cnf = CnfFormula(num_vars=3, clauses=((1, 2, 3), (-1,), (-2,), (-3,)))
-    prop = Propagator(cnf, {})
+    # Every child of an OR top is blocked on its own.
+    prop = _root_prop({"a": 0.5, "b": 0.5, "c": 0.5, "top": ("or", ["a", "b", "c"])},
+                      top="top", blocked=[{"a"}, {"b"}, {"c"}])
     assert not prop.assert_units()
 
 
+def test_propagator_one_event_block_is_a_unit():
+    """A blocking gate over one event is a unit clause in the exported
+    CNF, so the event it forbids is asserted, not propagated."""
+    prop = _root_prop({"a": 0.5, "b": 0.5, "top": ("or", ["a", "b"])},
+                      top="top", blocked=[{"a"}])
+    assert prop.assert_units()
+    assert prop.val[1:3] == [-1, 1]
+    assert prop.propagations == 1  # b, forced by the OR top
+
+
 def test_propagator_conflict_below_decisions():
-    cnf = CnfFormula(num_vars=3, clauses=((1, 2, 3), (1, 2, -3)))
-    prop = Propagator(cnf, {})
+    # top = AND(OR(a, b, c), OR(a, b, d)) with {c, d} blocked: a and b
+    # false force c and d true, which the blocking gate forbids.
+    prop = _root_prop(
+        {"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5,
+         "g1": ("or", ["a", "b", "c"]), "g2": ("or", ["a", "b", "d"]),
+         "top": ("and", ["g1", "g2"])},
+        top="top", blocked=[{"c", "d"}],
+    )
     assert prop.assert_units()
     prop.decide(1, False)
     assert prop.propagate()
     prop.decide(2, False)
     assert not prop.propagate()
     prop.backtrack(1)
-    assert prop.val[2] == 0 and prop.val[3] == 0
+    assert prop.val[2] == prop.val[3] == prop.val[4] == 0
     assert prop.val[1] == -1
 
 
 def test_propagator_cost_and_backtrack():
-    cnf = CnfFormula(num_vars=2, clauses=((1, 2),))
-    prop = Propagator(cnf, {1: 2.5, 2: 4.0})
+    prop = _root_prop({"a": math.exp(-2.5), "b": math.exp(-4.0),
+                       "top": ("or", ["a", "b"])}, top="top")
     prop.assert_units()
     prop.decide(1, True)
     prop.propagate()
@@ -124,6 +164,53 @@ def test_propagator_cost_and_backtrack():
     prop.backtrack(0)
     assert prop.cost == 0.0
     assert prop.val[1] == 0
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["tree", "dag"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_propagator_matches_clause_propagation(shared, data):
+    """Random decide, propagate and backtrack sequences, with 0-2 blocked
+    sets: the same conflict verdicts and values as naive unit
+    propagation over the exported clauses."""
+    t = data.draw(strategies.fault_trees(shared=shared))
+    instance = build_wcnf(t)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        blocked = data.draw(st.sets(st.sampled_from(sorted(t.event_ids)), min_size=1))
+        instance = add_blocking_clause(instance, frozenset(blocked))
+    cnf = instance.hard
+    prop = Propagator(instance)
+    decided: list[int] = []
+
+    def check(clean: bool) -> None:
+        want = unit_propagate(cnf, decided)
+        assert clean == (want is not None)
+        if clean:
+            assert prop.val[:cnf.num_vars + 1] == want
+            assert prop.cost == pytest.approx(
+                math.fsum(w for v, w in instance.soft if want[v] > 0), abs=1e-9
+            )
+
+    clean = prop.assert_units()
+    check(clean)
+    if not clean:
+        return
+    for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
+        open_vars = [v for v in range(1, cnf.num_vars + 1) if prop.val[v] == 0]
+        if open_vars and (not decided or data.draw(st.booleans())):
+            var = data.draw(st.sampled_from(open_vars))
+            value = data.draw(st.booleans())
+            prop.decide(var, value)
+            decided.append(var if value else -var)
+            clean = prop.propagate()
+            check(clean)
+            if clean:
+                continue
+        if decided:  # after a conflict, or by choice
+            level = data.draw(st.integers(min_value=0, max_value=len(decided) - 1))
+            prop.backtrack(level)
+            del decided[level:]
+            check(True)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +249,7 @@ def _assert_strategies_match_oracle(t):
         for chosen in itertools.combinations(events, k):
             circuit_says = complete_assignment(instance, frozenset(chosen))[root] > 0
             assert circuit_says == evaluate(t, {e: True for e in chosen}), chosen
-    prop = Propagator(instance.hard, dict(instance.soft))
+    prop = Propagator(instance)
     assert prop.assert_units()
     bound = _residual_bound(instance, prop.val, prop.weight)[root]
     assert prop.cost + bound <= want.log_weight + PRUNE_EPS
@@ -245,7 +332,7 @@ def test_root_bound_table_is_built_once_in_a_search(search, monkeypatch):
         calls.append(args)
         return _residual_bound(*args)
 
-    instance = build_wcnf(_seeded_dag(200, 0.3, 1))
+    instance = build_wcnf(seeded_dag(200, 0.3, 1))
     monkeypatch.setattr(solver, "_residual_bound", counted)
     sol = search(instance, SolverConfig())
     assert sol.proven
@@ -398,7 +485,7 @@ def test_frontier_limit_raises(monkeypatch):
 def test_branch_costs_grow_along_paths():
     t = small_random_tree(17, max_nodes=25)
     instance = build_wcnf(t)
-    prop = Propagator(instance.hard, dict(instance.soft))
+    prop = Propagator(instance)
     assert prop.assert_units()
     order = sorted(instance.var_map.var_of_event.values())
     path_costs = [prop.cost]  # cost after each decision on the current path
@@ -429,7 +516,7 @@ def _walk_bound_table(instance) -> None:
     """Exhaustive decide/propagate/backtrack walk that drives a
     ``_BoundTable`` beside its ``Propagator``; after every clean propagate
     and every backtrack the table must equal the full pass exactly."""
-    prop = Propagator(instance.hard, dict(instance.soft))
+    prop = Propagator(instance)
     if not prop.assert_units():
         return
     table = solver._BoundTable(instance, prop)
@@ -479,27 +566,6 @@ def test_stats_are_populated():
     assert not sol.stats.cancelled
 
 
-def _seeded_dag(nodes: int, share: float, seed: int) -> FaultTree:
-    """A seeded random tree plus ``share * #events`` extra gate -> event edges."""
-    base = random_fault_tree(GeneratorParams(nodes=nodes, seed=seed))
-    rng = random.Random(f"dag:{seed}")
-    children = {
-        n.id: list(n.children) for n in base.nodes.values() if isinstance(n, Gate)
-    }
-    gates, events = list(children), base.event_ids
-    extra = round(share * len(events))
-    while extra:
-        g, e = rng.choice(gates), rng.choice(events)
-        if e not in children[g]:
-            children[g].append(e)
-            extra -= 1
-    nodes_out = {
-        nid: Gate(nid, node.op, tuple(children[nid])) if nid in children else node
-        for nid, node in base.nodes.items()
-    }
-    return FaultTree(name="dag", nodes=nodes_out, top=base.top)
-
-
 def _tied_tree_second_solve():
     """``random_fault_tree(100, seed 2)`` with probabilities drawn from
     (0.1, 0.01), as the benchmark's ``all_optima`` workload draws them,
@@ -524,8 +590,8 @@ def _tied_tree_second_solve():
     "bestfirst_propagations",
     [
         (lambda: build_wcnf(_four_event_dag()), 2, 6, 2, 6),
-        (lambda: build_wcnf(_seeded_dag(200, 0.3, 1)), 270, 361, 270, 496),
-        (lambda: build_wcnf(_seeded_dag(300, 0.3, 3)), 528, 635, 528, 1113),
+        (lambda: build_wcnf(seeded_dag(200, 0.3, 1)), 270, 361, 270, 496),
+        (lambda: build_wcnf(seeded_dag(300, 0.3, 3)), 528, 635, 528, 1113),
         (_tied_tree_second_solve, 94, 99, 105, 230),
     ],
     ids=["four-event", "dag-200-1", "dag-300-3", "ties-100-2-blocked"],
@@ -550,7 +616,7 @@ def test_search_counts_are_frozen(make, bnb_decisions, bnb_propagations,
 def test_portfolio_best_first_member_proves_small_dags(seed):
     """The portfolio's best-first member prunes and seeds with branch and
     bound's bound table, so it proves the DAGs branch and bound proves."""
-    instance = build_wcnf(_seeded_dag(200, 0.3, seed))
+    instance = build_wcnf(seeded_dag(200, 0.3, seed))
     sol = solve_best_first(instance, default_portfolio(time_budget=60)[1])
     want = solve_branch_and_bound(instance, SolverConfig())
     assert sol.proven
@@ -562,7 +628,7 @@ def test_dag_700_is_proven_with_frozen_counts():
     The optimum is the one an independent MILP (``bench/reference.py``)
     finds.  The budget is generous so that the test pins counts, not
     speed."""
-    instance = build_wcnf(_seeded_dag(700, 0.1, 1))
+    instance = build_wcnf(seeded_dag(700, 0.1, 1))
     sol = solve_branch_and_bound(instance, SolverConfig(time_budget=600.0))
     assert sol.proven
     assert sol.stats.decisions == 67_272
@@ -804,6 +870,38 @@ def test_compute_mpmcs_end_to_end(fire_tree):
     res = compute_mpmcs(fire_tree)
     assert res.cut_set == frozenset({"x1", "x2"})
     assert res.probability == pytest.approx(0.02, abs=1e-6)
+
+
+def _wide_gate(op: GateOp, fan_in: int) -> FaultTree:
+    nodes = {f"e{i}": BasicEvent(f"e{i}", 0.5) for i in range(fan_in)}
+    nodes["top"] = Gate("top", op, tuple(nodes))
+    return FaultTree(name="wide", nodes=nodes, top="top")
+
+
+@pytest.mark.parametrize("op, cut_size", [(GateOp.AND, 10_000), (GateOp.OR, 1)],
+                         ids=["and", "or"])
+def test_compute_mpmcs_on_a_gate_of_fan_in_10k(op, cut_size):
+    """The extraction sweep walks only the gates a trial drop turns
+    false; rescanning the live gates on every trial took 22.8 s CPU on
+    the AND gate."""
+    start = time.process_time()
+    res = compute_mpmcs(_wide_gate(op, 10_000))
+    assert len(res.cut_set) == cut_size
+    assert time.process_time() - start < 5.0
+
+
+def test_compute_mpmcs_on_a_chain_of_100k_gates():
+    """Alternating AND/OR gates, each over the gate below and one event:
+    no layer may recurse along the chain or walk it once per gate."""
+    nodes = {"e0": BasicEvent("e0", 0.5)}
+    below = "e0"
+    for i in range(1, 100_001):
+        nodes[f"e{i}"] = BasicEvent(f"e{i}", 0.5)
+        op = GateOp.AND if i % 2 else GateOp.OR
+        nodes[f"g{i}"] = Gate(f"g{i}", op, (below, f"e{i}"))
+        below = f"g{i}"
+    res = compute_mpmcs(FaultTree(name="chain", nodes=nodes, top=below))
+    assert res.cut_set == frozenset({"e100000"})  # the top is an OR
 
 
 def test_compute_mpmcs_timeout():
