@@ -63,7 +63,7 @@ def _report(
     solver_id: str,
     elapsed: float,
 ) -> dict:
-    hard = instance.hard
+    num_vars, num_clauses = instance.hard_size
     return {
         "cut_set": sorted(result.cut_set) if result is not None else None,
         "log_weight": result.log_weight if result is not None else None,
@@ -74,8 +74,8 @@ def _report(
         "stats": {
             "events": len(tree.event_ids),
             "gates": len(tree.gate_ids),
-            "vars": hard.num_vars,
-            "hard_clauses": len(hard.clauses),
+            "vars": num_vars,
+            "hard_clauses": num_clauses,
         },
     }
 
@@ -143,37 +143,22 @@ def _cmd_check(args) -> int:
     tol = TIE_REL_TOL * max(1.0, abs(want.log_weight))
     weight_ok = abs(got.log_weight - want.log_weight) <= tol
     # Distinct sets may tie for the optimum; the weight is the contract.
-    if not weight_ok:
-        print(
-            json.dumps(
-                {
-                    "match": False,
-                    "solver": {
-                        "cut_set": sorted(got.cut_set),
-                        "log_weight": got.log_weight,
-                    },
-                    "reference": {
-                        "cut_set": sorted(want.cut_set),
-                        "log_weight": want.log_weight,
-                    },
-                },
-                indent=2,
-            )
-        )
-        return EXIT_MISMATCH
-    print(
-        json.dumps(
-            {
-                "match": True,
-                "cut_set": sorted(got.cut_set),
-                "log_weight": got.log_weight,
-                "probability": got.probability,
-                "solver_id": got.solver_id,
-            },
-            indent=2,
-        )
-    )
-    return EXIT_OK
+    if weight_ok:
+        verdict = {
+            "match": True,
+            "cut_set": sorted(got.cut_set),
+            "log_weight": got.log_weight,
+            "probability": got.probability,
+            "solver_id": got.solver_id,
+        }
+    else:
+        verdict = {
+            "match": False,
+            "solver": {"cut_set": sorted(got.cut_set), "log_weight": got.log_weight},
+            "reference": {"cut_set": sorted(want.cut_set), "log_weight": want.log_weight},
+        }
+    print(json.dumps(verdict, indent=2))
+    return EXIT_OK if weight_ok else EXIT_MISMATCH
 
 
 def _cmd_export_wcnf(args) -> int:

@@ -101,6 +101,15 @@ class WcnfInstance:
         clauses.extend(tuple(-c for c in kids) for _, kids in self.circuit[gates:])
         return CnfFormula(num_vars=len(self.soft) + gates, clauses=tuple(clauses))
 
+    @property
+    def hard_size(self) -> tuple[int, int]:
+        """``(hard.num_vars, len(hard.clauses))``, counted without deriving
+        the CNF: a gate of fan-in ``k`` emits ``k + 1`` clauses, the root
+        one and each blocking gate one."""
+        gates = len(self.circuit) - self.blocking
+        clauses = sum(len(kids) + 1 for _, kids in self.circuit[:gates])
+        return len(self.soft) + gates, clauses + 1 + self.blocking
+
 
 def to_log_space(p: float) -> float:
     """-ln(p) for p in the open interval (0, 1); strictly positive and finite."""

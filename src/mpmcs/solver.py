@@ -9,9 +9,11 @@ differ only in the order in which open nodes leave the frontier:
 * best first: least cost plus lower bound first (A*), so the incumbent
   is proven once no open node's bound can beat it.
 
-A portfolio runs several configurations concurrently on the shared
-immutable instance; the first proven-optimal finisher wins and the rest
-are cancelled cooperatively through a flag they poll at every decision.
+Every solve sets up its root once: the hard units propagated, the root
+bound table and the warm start.  A portfolio runs several configurations
+concurrently, each from its own fork of that one root; the first
+proven-optimal finisher wins and the rest are cancelled cooperatively
+through a flag they poll at every decision.
 
 Weight bookkeeping: search-time costs accumulate incrementally, but any
 weight that leaves this module is recomputed with ``math.fsum`` over the
@@ -22,6 +24,7 @@ whichever strategy produced them.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 import threading
@@ -190,6 +193,9 @@ class Propagator:
     the events assigned true, serves pruning only, never reported totals.
     """
 
+    __slots__ = ("val", "weight", "ctl", "kids", "parents", "_other", "_units",
+                 "trail", "level_starts", "qhead", "cost", "propagations")
+
     def __init__(self, instance: WcnfInstance):
         first_gate = len(instance.var_map.var_of_event) + 1
         n = first_gate + len(instance.circuit)
@@ -213,6 +219,14 @@ class Propagator:
         self.qhead = 0
         self.cost = 0.0
         self.propagations = 0
+
+    def fork(self) -> "Propagator":
+        """A copy that shares the circuit's read-only arrays and owns its
+        assignment, so forks search independently of each other."""
+        twin = copy.copy(self)
+        twin.val, twin._other = self.val[:], self._other[:]
+        twin.trail, twin.level_starts = self.trail[:], self.level_starts[:]
+        return twin
 
     def _set(self, v: int, x: int) -> bool:
         """Give an open ``v`` the value ``x``; False if ``v`` holds ``-x``."""
@@ -293,16 +307,6 @@ class Propagator:
 # Shared helpers
 
 
-def _decision_order(instance: WcnfInstance, config: SolverConfig) -> list[int]:
-    """Event variables in the configured branching order."""
-    entries = sorted(instance.var_map.var_of_event.items())  # by event id
-    weight = dict(instance.soft)
-    # Stable either way: equal weights keep event-id order.
-    entries.sort(key=lambda ev: weight[ev[1]],
-                 reverse=config.var_order is VarOrder.DESCENDING_WEIGHT)
-    return [var for _, var in entries]
-
-
 def _exact_weight(val: Sequence[int], instance: WcnfInstance) -> float:
     return math.fsum(w for var, w in instance.soft if val[var] > 0)
 
@@ -344,9 +348,9 @@ def _residual_bound(
     the whole completion; on a tree it is exact.  ``weight`` is indexed
     by variable.
 
-    This is the one full pass over the circuit: a search runs it once,
-    at the root, and ``_BoundTable`` keeps its result current from
-    there, bit for bit.
+    This is the one full pass over the circuit: a solve runs it once,
+    in ``_root``, and each search's ``_BoundTable`` keeps its own copy
+    of the result current from there, bit for bit.
     """
     first_gate = len(instance.var_map.var_of_event) + 1
     bound = [
@@ -364,7 +368,8 @@ def _residual_bound(
 
 
 class _BoundTable:
-    """The ``_residual_bound`` table of one search, kept current on its trail.
+    """A copy of the root's ``_residual_bound`` table, kept current on one
+    search's trail.
 
     ``update`` follows a clean propagate: it sets the entries of the
     variables the newest decision level assigned (a true event costs 0,
@@ -379,8 +384,8 @@ class _BoundTable:
     Gates and parents come from the propagator's per-variable arrays.
     """
 
-    def __init__(self, instance: WcnfInstance, prop: Propagator):
-        self.bound = _residual_bound(instance, prop.val, prop.weight)
+    def __init__(self, instance: WcnfInstance, bound: Sequence[float]):
+        self.bound = list(bound)
         self._combine = math.fsum if instance.tree_shaped else max
         self._log: list[tuple[int, float]] = []  # (variable, entry before)
         self._marks: list[int] = []  # log length at the start of each level
@@ -457,23 +462,52 @@ def _prune_slack(incumbent: float) -> float:
 # Search
 
 
+@dataclass(frozen=True)
+class _Root:
+    """A solve's starting state, set up once and shared by its searches,
+    which fork ``prop`` and change nothing here.  Budgets and
+    ``SearchStats.elapsed`` count from ``start``."""
+
+    instance: WcnfInstance
+    prop: Propagator  # root and blocking gates asserted and propagated
+    bound: list[float]  # the root ``_residual_bound`` table
+    warm: Optional[tuple[int, ...]]  # the warm start, unless blocked
+    events: list[int]  # event variables in event-id order
+    start: float
+
+
+def _root(instance: WcnfInstance) -> _Root:
+    """Set up a solve; the warm start walks the root table, so it is
+    optimal on trees and those prove with no decisions."""
+    start = time.perf_counter()
+    prop = Propagator(instance)
+    if not prop.assert_units():
+        raise UnsatisfiableError("hard constraints conflict at root level")
+    bound = _residual_bound(instance, prop.val, prop.weight)
+    walked = complete_assignment(instance, _cheapest_events(instance, bound))
+    # Blocking gates over several events can rule the walked set out.
+    warm = walked if _meets_hard(instance, walked) else None
+    events = [var for _, var in sorted(instance.var_map.var_of_event.items())]
+    return _Root(instance, prop, bound, warm, events, start)
+
+
 def _search(
-    instance: WcnfInstance,
+    root: _Root,
     config: SolverConfig,
     cancel: Optional[threading.Event],
     best_first: bool,
 ) -> Solution:
-    """Branch and bound over event variables; ``best_first`` chooses
-    only the order in which open nodes leave the frontier.
+    """Branch and bound over event variables from a fork of ``root``;
+    ``best_first`` chooses only the order in which open nodes leave the
+    frontier.
 
-    The incumbent starts from a walk of the root-level ``_residual_bound``
-    table (optimal on trees, so those prove with no decisions), and each
-    node is pruned when its cost plus that same bound cannot beat the
-    incumbent.  The table is computed once, at the root, and a
-    ``_BoundTable`` keeps it current along the trail: each decision
+    The incumbent starts as the root's warm start, and each node is
+    pruned when its cost plus the root's ``_residual_bound`` table
+    cannot beat the incumbent.  A ``_BoundTable`` keeps this search's
+    copy of the table current along the trail: each decision
     re-evaluates only the ancestors of the variables it assigned, and
     backtracking restores the entries it changed.  A node branches on
-    the next open event in ``_decision_order`` after its own; auxiliary
+    the next open event in the branching order after its own; auxiliary
     variables are never decided, gate propagation forces them once the
     events settle.
 
@@ -484,40 +518,30 @@ def _search(
     by the parent's cost plus bound, a lower bound on every completion
     below the node, so the incumbent is proven once the least key cannot
     beat it.  Exhausting the frontier also proves it; running out of
-    budget returns the incumbent unproven.
+    budget or being cancelled, even before deciding, returns the
+    incumbent unproven.
     """
-    start = time.perf_counter()
-    deadline = start + config.time_budget
-    prop = Propagator(instance)
-    if not prop.assert_units():
-        raise UnsatisfiableError("hard constraints conflict at root level")
-    order = _decision_order(instance, config)
-    root = instance.var_map.root_var
+    instance = root.instance
+    deadline = root.start + config.time_budget
+    prop = root.prop.fork()
+    table = _BoundTable(instance, root.bound)
+    bound = table.bound
+    # Branching order; the sort is stable, so equal weights keep event-id order.
+    order = sorted(root.events, key=prop.weight.__getitem__,
+                   reverse=config.var_order is VarOrder.DESCENDING_WEIGHT)
+    top = instance.var_map.root_var
     decisions = 0
 
-    incumbent: Optional[tuple[int, ...]] = None
-    incumbent_w = math.inf
-    # A member cancelled before it starts skips the bound pass and the
-    # warm start.  The deadline is first tested in the loop, so even a
-    # tiny budget returns the warm-start incumbent.
-    cancelled = cancel is not None and cancel.is_set()
-    if not cancelled:
-        table = _BoundTable(instance, prop)
-        bound = table.bound
-        warm = complete_assignment(instance, _cheapest_events(instance, bound))
-        # Blocking gates over several events can rule the walked set out.
-        if _meets_hard(instance, warm):
-            incumbent = warm
-            incumbent_w = _exact_weight(warm, instance)
-
+    incumbent = root.warm
+    incumbent_w = math.inf if incumbent is None else _exact_weight(incumbent, instance)
     node: Optional[tuple] = None
     path: list[tuple] = []  # the nodes on the trail, one per decision level
     frontier: list = []
     tie = count()
-    clean = not cancelled  # the current node propagated without conflict
+    clean = True  # the current node propagated without conflict
     proven = False
     while True:
-        lower = prop.cost + bound[root] if clean else math.inf
+        lower = prop.cost + bound[top] if clean else math.inf
         if lower < incumbent_w - _prune_slack(incumbent_w):
             # Every event before this node's was set when it decided.
             pos = node[2] + 1 if node else 0
@@ -575,7 +599,7 @@ def _search(
 
     if proven and incumbent is None:
         raise UnsatisfiableError("search space exhausted without a model")
-    elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - root.start
     return Solution(
         assignment=incumbent,
         weight=incumbent_w,
@@ -592,7 +616,7 @@ def solve_branch_and_bound(
 ) -> Solution:
     """Depth-first branch and bound (see ``_search``), whatever
     ``config.strategy`` says."""
-    return _search(instance, config, cancel, best_first=False)
+    return _search(_root(instance), config, cancel, best_first=False)
 
 
 def solve_best_first(
@@ -602,7 +626,7 @@ def solve_best_first(
 ) -> Solution:
     """Best-first branch and bound (see ``_search``): A* order over the
     same nodes, bound and pruning, whatever ``config.strategy`` says."""
-    return _search(instance, config, cancel, best_first=True)
+    return _search(_root(instance), config, cancel, best_first=True)
 
 
 # ---------------------------------------------------------------------------
@@ -615,26 +639,24 @@ def solve_portfolio(
 ) -> Solution:
     """Run all configurations concurrently; first proven result wins.
 
-    ``config.strategy`` picks each worker's frontier order (see
-    ``_search``).  Workers share the immutable instance and poll a
-    cancellation flag before their root bound pass and at every
-    decision, so losers stop within a small grace period once a winner
-    reports.  If nobody proves optimality in budget, the best
+    The root is set up once, before any worker starts, and every worker
+    searches its own fork of it; ``config.strategy`` picks the worker's
+    frontier order (see ``_search``).  Workers poll a cancellation flag
+    at every decision, so losers stop within a small grace period once a
+    winner reports.  If nobody proves optimality in budget, the best
     incumbent is returned unproven.  Only if every worker raises does
     the portfolio raise, aggregating the errors.
     """
     if not configs:
         raise ValueError("portfolio needs at least one configuration")
+    root = _root(instance)
     cancel = threading.Event()
     # Per worker: its Solution or the exception it raised, and its exit time.
     records: list = [None] * len(configs)
 
     def work(i: int, cfg: SolverConfig) -> None:
-        search = solve_best_first
-        if cfg.strategy is Strategy.BRANCH_AND_BOUND:
-            search = solve_branch_and_bound
         try:
-            outcome = search(instance, cfg, cancel)
+            outcome = _search(root, cfg, cancel, cfg.strategy is Strategy.BEST_FIRST)
             if outcome.proven:
                 cancel.set()
         except BaseException as exc:  # reported, not swallowed

@@ -13,7 +13,7 @@ import pytest
 from helpers import tree
 from mpmcs import solver
 from mpmcs.cli import main
-from mpmcs.encoding import format_wcnf
+from mpmcs.encoding import WcnfInstance, format_wcnf
 from mpmcs.fault_tree import parse_fault_tree, serialize_fault_tree
 from mpmcs.generator import GeneratorParams, random_fault_tree
 
@@ -40,6 +40,21 @@ def test_solve_reports_golden_result(capsys, fire_path):
     assert report["solver_id"]
     assert report["elapsed_ms"] >= 0.0
     assert report["stats"] == {
+        "events": 7, "gates": 5, "vars": 12, "hard_clauses": 17,
+    }
+
+
+@pytest.mark.parametrize("extra", [[], ["--all-optima"]], ids=["one", "all-optima"])
+def test_solve_does_not_derive_the_cnf(capsys, fire_path, monkeypatch, extra):
+    """The report counts the hard clauses from the circuit; only
+    ``export-wcnf`` derives them."""
+    def underived(self):
+        raise AssertionError("solve derived the Tseitin CNF")
+
+    monkeypatch.setattr(WcnfInstance, "hard", property(underived))
+    code, out, _ = run_cli(capsys, "solve", str(fire_path), *extra)
+    assert code == 0
+    assert json.loads(out)["stats"] == {
         "events": 7, "gates": 5, "vars": 12, "hard_clauses": 17,
     }
 
@@ -127,6 +142,22 @@ def test_check_agrees_on_fire_tree(capsys, fire_path):
     report = json.loads(out)
     assert report["match"] is True
     assert report["cut_set"] == ["x1", "x2"]
+
+
+def test_check_reports_a_mismatch(capsys, fire_path, monkeypatch):
+    from mpmcs import cli
+
+    real = cli.oracle_mpmcs
+    monkeypatch.setattr(
+        cli, "oracle_mpmcs", lambda t: replace(real(t), log_weight=1.0, cut_set=frozenset("z"))
+    )
+    code, out, _ = run_cli(capsys, "check", str(fire_path))
+    assert code == 3
+    report = json.loads(out)
+    assert list(report) == ["match", "solver", "reference"]
+    assert report["match"] is False
+    assert report["solver"]["cut_set"] == ["x1", "x2"]
+    assert report["reference"] == {"cut_set": ["z"], "log_weight": 1.0}
 
 
 def test_check_budget_exhausted_exits_two(capsys, fire_path):

@@ -228,6 +228,21 @@ def _blocked_dag():
 
 
 @pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_wcnf(parse_fault_tree(FIRE_PATH.read_text(encoding="utf-8"))),
+        lambda: build_wcnf(seeded_dag(200, 0.3, 1)),
+        _blocked_dag,
+    ],
+    ids=["fire", "dag-200-1", "dag-300-3-blocked"],
+)
+def test_hard_size_counts_the_derived_cnf(make):
+    instance = make()
+    hard = instance.hard
+    assert instance.hard_size == (hard.num_vars, len(hard.clauses))
+
+
+@pytest.mark.parametrize(
     "make, digest",
     [
         (lambda: build_wcnf(parse_fault_tree(FIRE_PATH.read_text(encoding="utf-8"))),

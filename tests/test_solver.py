@@ -7,6 +7,7 @@ import itertools
 import math
 import pickle
 import random
+import sys
 import threading
 import time
 
@@ -307,18 +308,31 @@ def _assert_every_config_finds(t, want_cut):
 
 
 def test_root_bound_table_is_built_once(fire_instance, monkeypatch):
-    """The warm start's root table also serves the root prune check."""
-    calls = []
+    """The warm start's root table also serves the root prune check, and
+    portfolio members start from forks of one root: one propagator and
+    one bound pass per solve, whatever the number of members."""
+    calls, props = [], []
 
     def counted(*args):
         calls.append(args)
         return _residual_bound(*args)
 
+    def counted_prop(instance):
+        props.append(Propagator(instance))
+        return props[-1]
+
     monkeypatch.setattr(solver, "_residual_bound", counted)
-    sol = solve_branch_and_bound(fire_instance, SolverConfig())
-    assert sol.proven
-    assert sol.stats.decisions == 0
-    assert len(calls) == 1
+    monkeypatch.setattr(solver, "Propagator", counted_prop)
+    for members in (0, 2, 3):
+        calls.clear()
+        props.clear()
+        if members:
+            sol = solve_portfolio(fire_instance, ALL_CONFIGS[:members])
+        else:
+            sol = solve_branch_and_bound(fire_instance, SolverConfig())
+        assert sol.proven
+        assert sol.stats.decisions == 0
+        assert (len(props), len(calls)) == (1, 1), members
 
 
 @pytest.mark.parametrize(
@@ -456,9 +470,20 @@ def test_best_first_budget_returns_empty():
         assert sol.weight == math.inf
 
 
+def test_portfolio_budget_holds_at_size():
+    """The budget counts from the start of the one root set-up, which on a
+    DAG of 100,000 nodes is a good part of a second: a 1 s portfolio
+    solve must still return within 1.5 s of wall time."""
+    instance = build_wcnf(seeded_dag(100_000, 0.1, 1))
+    began = time.perf_counter()
+    sol = solve_portfolio(instance, default_portfolio(time_budget=1.0))
+    assert time.perf_counter() - began < 1.5
+    assert sol.assignment is not None
+
+
 def test_pre_set_cancel_flag_stops_both(fire_instance, monkeypatch):
-    """A search cancelled before it starts skips the bound pass and the
-    warm start."""
+    """A search cancelled before it starts still sets up its root once,
+    and returns the warm start unproven without deciding anything."""
     calls = []
 
     def counted(*args):
@@ -468,11 +493,16 @@ def test_pre_set_cancel_flag_stops_both(fire_instance, monkeypatch):
     monkeypatch.setattr(solver, "_residual_bound", counted)
     cancel = threading.Event()
     cancel.set()
+    # Proven at the root with no decisions, so its model is the warm start.
+    warm = solve_branch_and_bound(fire_instance, SolverConfig())
     for config in (SolverConfig(), SolverConfig(strategy=Strategy.BEST_FIRST)):
+        calls.clear()
         sol = _solve(fire_instance, config, cancel)
         assert not sol.proven
         assert sol.stats.cancelled
-    assert len(calls) == 0
+        assert sol.stats.decisions == 0
+        assert sol.assignment == warm.assignment
+        assert len(calls) == 1
 
 
 def test_frontier_limit_raises(monkeypatch):
@@ -519,7 +549,9 @@ def _walk_bound_table(instance) -> None:
     prop = Propagator(instance)
     if not prop.assert_units():
         return
-    table = solver._BoundTable(instance, prop)
+    table = solver._BoundTable(
+        instance, _residual_bound(instance, prop.val, prop.weight)
+    )
     order = sorted(instance.var_map.var_of_event.values())
 
     def check() -> None:
@@ -610,6 +642,31 @@ def test_search_counts_are_frozen(make, bnb_decisions, bnb_propagations,
     assert (best.stats.decisions, best.stats.propagations) == (
         bestfirst_decisions, bestfirst_propagations
     )
+
+
+@pytest.mark.parametrize(
+    "make, counts",
+    [
+        (lambda: build_wcnf(seeded_dag(200, 0.3, 1)),
+         {"bnb": (270, 361), "bestfirst": (270, 496)}),
+        (_tied_tree_second_solve, {"bnb": (94, 99), "bestfirst": (105, 230)}),
+    ],
+    ids=["dag-200-1", "ties-100-2-blocked"],
+)
+def test_forks_of_one_root_keep_frozen_counts(make, counts):
+    """Searches from forks of one root, one after another, and a portfolio
+    of one member reproduce the frozen counts for either frontier order:
+    a fork changes nothing that another fork reads."""
+    instance = make()
+    root = solver._root(instance)
+    for strategy in (*Strategy, *Strategy):
+        best_first = strategy is Strategy.BEST_FIRST
+        sol = solver._search(root, SolverConfig(strategy=strategy), None, best_first)
+        assert (sol.stats.decisions, sol.stats.propagations) == counts[strategy.value]
+    for strategy in Strategy:
+        sol = solve_portfolio(instance, [SolverConfig(strategy=strategy)])
+        assert sol.proven
+        assert (sol.stats.decisions, sol.stats.propagations) == counts[strategy.value]
 
 
 @pytest.mark.parametrize("seed", [1, 3, 4])
@@ -722,6 +779,34 @@ def test_portfolio_all_errors_aggregate(monkeypatch):
     with pytest.raises(PortfolioError) as info:
         solve_portfolio(build_wcnf(_four_event_dag()), configs)
     assert len(info.value.errors) == 2
+
+
+def test_portfolio_forks_hold_under_fast_thread_switching(monkeypatch):
+    """Four members, switching threads as often as the interpreter
+    allows: each member searches its own fork, so every
+    proven member agrees on the weight and the shared root is left as it
+    was set up."""
+    real_root, roots = solver._root, []
+
+    def kept(instance):
+        roots.append(real_root(instance))
+        return roots[-1]
+
+    monkeypatch.setattr(solver, "_root", kept)
+    instance = build_wcnf(seeded_dag(200, 0.3, 1))
+    want = solve_branch_and_bound(instance, SolverConfig()).weight
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sol = solve_portfolio(instance, ALL_CONFIGS)
+    finally:
+        sys.setswitchinterval(switch)
+    assert sol.proven and sol.weight == want
+    assert all(r.weight == want for r in sol.workers if r.proven)
+    root, fresh = roots[-1], real_root(instance)
+    assert (root.prop.val, root.prop.trail, root.bound) == (
+        fresh.prop.val, fresh.prop.trail, fresh.bound
+    )
 
 
 def test_portfolio_survives_one_failing_worker(monkeypatch):
