@@ -1,0 +1,387 @@
+"""Reasoning over the compiled circuit: unit propagation on its gates,
+evaluation, the set-minimality sweep, and the search's lower bounds (the
+bound tables and the core pass).  Every solve-time walk of
+``WcnfInstance.circuit`` is here."""
+
+from __future__ import annotations
+
+import copy
+import heapq
+import math
+import time
+from typing import Iterable, Optional, Sequence
+
+from .encoding import WcnfInstance
+
+
+class Propagator:
+    """Unit propagation on the circuit's gates, with a backtrackable trail.
+
+    Write ``c`` for a gate's controlling value (false for AND, true for
+    OR).  A child with value ``c`` gives its gate ``c``; once every child
+    holds ``-c``, so does the gate; a gate with ``-c`` gives it to every
+    child; a gate with ``c`` whose children all hold ``-c`` but one open
+    child forces that child to ``c``: unit propagation on each gate's
+    Tseitin clauses.  Per variable ``v``: ``ctl[v]`` is its controlling
+    value as a gate (-1 AND, 1 OR, 0 for an event), ``kids[v]`` its
+    children, ``parents[v]`` the gates with child ``v``, ``_other[v]``
+    its children holding ``-c``.  ``assert_units`` asserts the root true
+    and every blocking gate false.  The running ``cost``, the weight of
+    the events assigned true, serves pruning only, never reported totals.
+    """
+
+    __slots__ = ("val", "weight", "ctl", "kids", "parents", "_other", "_units",
+                 "trail", "level_starts", "qhead", "cost", "propagations")
+
+    def __init__(self, instance: WcnfInstance):
+        first_gate = len(instance.var_map.var_of_event) + 1
+        n = first_gate + len(instance.circuit)
+        self.val = [0] * n
+        self.weight = [0.0] * n
+        for v, w in instance.soft:
+            self.weight[v] = w
+        self.ctl = [0] * first_gate + [-1 if a else 1 for a, _ in instance.circuit]
+        self.kids = [()] * first_gate + [kids for _, kids in instance.circuit]
+        self.parents: list[list[int]] = [[] for _ in range(n)]
+        for g in range(first_gate, n):
+            for c in self.kids[g]:
+                self.parents[c].append(g)
+        self._other = [0] * n
+        self._units = [instance.var_map.root_var]
+        for g in range(n - instance.blocking, n):
+            # One event's blocking gate is a unit clause: assert the event.
+            self._units += [-g, -self.kids[g][0]] if len(self.kids[g]) == 1 else [-g]
+        self.trail: list[int] = []
+        self.level_starts: list[int] = []
+        self.qhead = 0
+        self.cost = 0.0
+        self.propagations = 0
+
+    def fork(self) -> "Propagator":
+        """A copy that shares the circuit's read-only arrays and owns its
+        assignment, so forks search independently of each other."""
+        twin = copy.copy(self)
+        twin.val, twin._other = self.val[:], self._other[:]
+        twin.trail, twin.level_starts = self.trail[:], self.level_starts[:]
+        return twin
+
+    def _set(self, v: int, x: int) -> bool:
+        """Give an open ``v`` the value ``x``; False if ``v`` holds ``-x``."""
+        if self.val[v]:
+            return self.val[v] == x
+        self.val[v] = x
+        if x > 0:
+            self.cost += self.weight[v]
+        for p in self.parents[v]:
+            if x != self.ctl[p]:
+                self._other[p] += 1
+        self.trail.append(v if x > 0 else -v)
+        return True
+
+    def _last_child(self, g: int) -> bool:
+        """For ``g`` holding its controlling value: conflict when no child
+        can hold it too, force the one child left that can."""
+        kids, c = self.kids[g], self.ctl[g]
+        left = len(kids) - self._other[g]
+        if left == 1:
+            return self._set(next(k for k in kids if self.val[k] != -c), c)
+        return left > 0
+
+    def assert_units(self) -> bool:
+        """Assert the root and the blocking gates; False on conflict."""
+        units = all(self._set(abs(u), 1 if u > 0 else -1) for u in self._units)
+        return units and self.propagate()
+
+    def decide(self, var: int, value: bool) -> None:
+        self.level_starts.append(len(self.trail))
+        self._set(var, 1 if value else -1)
+
+    def propagate(self) -> bool:
+        """Propagate everything pending; False on conflict."""
+        trail, val, ctl, kids, other = (
+            self.trail, self.val, self.ctl, self.kids, self._other
+        )
+        start = len(trail)
+        try:
+            while self.qhead < len(trail):
+                lit = trail[self.qhead]
+                self.qhead += 1
+                v, x = (lit, 1) if lit > 0 else (-lit, -1)
+                if ctl[v] == x:
+                    if not self._last_child(v):
+                        return False
+                elif ctl[v] and not all(self._set(k, x) for k in kids[v]):
+                    return False
+                for p in self.parents[v]:
+                    if ctl[p] == x or other[p] == len(kids[p]):
+                        if not self._set(p, x):
+                            return False
+                    elif val[p] == ctl[p] and not self._last_child(p):
+                        return False
+            return True
+        finally:
+            self.propagations += len(trail) - start
+
+    def backtrack(self, level: int) -> None:
+        """Undo all decisions beyond ``level`` (0 keeps only root units)."""
+        if len(self.level_starts) <= level:
+            return
+        pos = self.level_starts[level]
+        del self.level_starts[level:]
+        for lit in reversed(self.trail[pos:]):
+            v, x = (lit, 1) if lit > 0 else (-lit, -1)
+            if x > 0:
+                self.cost -= self.weight[v]
+            self.val[v] = 0
+            for p in self.parents[v]:
+                if x != self.ctl[p]:
+                    self._other[p] -= 1
+        del self.trail[pos:]
+        self.qhead = len(self.trail)
+
+
+def _exact_weight(val: Sequence[int], instance: WcnfInstance) -> float:
+    return math.fsum(w for var, w in instance.soft if val[var] > 0)
+
+
+def complete_assignment(
+    instance: WcnfInstance, true_events: Iterable[str]
+) -> tuple[int, ...]:
+    """Model with exactly ``true_events`` true and every gate evaluated."""
+    var_of_event = instance.var_map.var_of_event
+    val = [-1] * (len(var_of_event) + len(instance.circuit) + 1)
+    val[0] = 0
+    for eid in true_events:
+        val[var_of_event[eid]] = 1
+    for g, (is_and, kids) in enumerate(instance.circuit, len(var_of_event) + 1):
+        val[g] = 1 if (all if is_and else any)(val[c] > 0 for c in kids) else -1
+    return tuple(val)
+
+
+def _meets_hard(instance: WcnfInstance, val: Sequence[int]) -> bool:
+    """Whether ``val`` holds the root true and every blocking gate false."""
+    blocking = val[len(val) - instance.blocking:]
+    return val[instance.var_map.root_var] > 0 and all(v < 0 for v in blocking)
+
+
+def _sweep(instance: WcnfInstance, val: Sequence[int], weight_of) -> set[str]:
+    """The set-minimality sweep: the events true under ``val``, less each
+    one, tried heaviest first (by ``weight_of`` an event id, ties by id),
+    whose drop keeps the root true.  ``val`` must be the circuit's
+    evaluation of its own events, with the root true.
+
+    The circuit is monotone, so a gate false under ``val`` stays false
+    under every subset of its events.  The sweep keeps the true gates
+    above each true variable and a slack per true variable (1 for an
+    event or AND gate, the number of true children for an OR gate); a
+    trial drop walks only the variables whose slack reaches 0, and is
+    undone if the root is among them."""
+    var_of_event = instance.var_map.var_of_event
+    cut = {eid for eid, var in var_of_event.items() if val[var] > 0}
+    root = instance.var_map.root_var
+    slack = [1 if v > 0 else 0 for v in val]
+    up: dict[int, list[int]] = {}
+    for g, (is_and, kids) in enumerate(instance.circuit, len(var_of_event) + 1):
+        if val[g] > 0:
+            true_kids = [c for c in kids if val[c] > 0]
+            for c in true_kids:
+                up.setdefault(c, []).append(g)
+            if not is_and:
+                slack[g] = len(true_kids)
+    for eid in sorted(cut, key=lambda e: (-weight_of(e), e)):
+        fell = [var_of_event[eid]]
+        slack[fell[0]] = 0
+        for v in fell:  # grows as gates turn false
+            for g in up.get(v, ()):
+                slack[g] -= 1
+                if slack[g] == 0:
+                    fell.append(g)
+        if slack[root] > 0:
+            cut.discard(eid)
+        else:  # the root fell: undo the walk
+            slack[fell[0]] = 1
+            for g in (g for v in fell for g in up.get(v, ())):
+                slack[g] += 1
+    return cut
+
+
+def _residual_bound(
+    instance: WcnfInstance, val: Sequence[int], weight: Sequence[float]
+) -> list[float]:
+    """Admissible lower bound, per variable, on the extra weight to make it true.
+
+    Evaluates the circuit under the current assignment: a true event
+    costs nothing more, a false event or gate can no longer provide
+    support, an open event costs its weight.  AND combines children by
+    sum on tree-shaped instances (each event appears once) and by max
+    under sharing, which never overestimates.  Entry ``root_var`` bounds
+    the whole completion; on a tree it is exact.  ``weight`` is indexed
+    by variable.
+
+    A solve runs this full pass only in ``_root``, once per table; each
+    search's ``_BoundTable`` keeps its copy current, bit for bit.
+    """
+    first_gate = len(instance.var_map.var_of_event) + 1
+    bound = [0.0 if v > 0 else math.inf if v < 0 else w
+             for v, w in zip(val[:first_gate], weight)]
+    combine = math.fsum if instance.tree_shaped else max
+    for g, (is_and, kids) in enumerate(instance.circuit, first_gate):
+        if val[g] < 0:
+            bound.append(math.inf)
+        else:
+            child_bounds = [bound[c] for c in kids]
+            bound.append(combine(child_bounds) if is_and else min(child_bounds))
+    return bound
+
+
+class _BoundTable:
+    """A copy of a root ``_residual_bound`` table, kept current on one
+    search's trail.
+
+    ``update`` follows a clean propagate: it sets the entries of the
+    variables the newest decision level assigned (a true event costs 0,
+    a false variable is ``inf``; a true gate's entry still comes from its
+    children) and re-evaluates their ancestors in increasing variable
+    order, so each gate is recomputed once, after its children, with the
+    full pass's own expression, and stops where an entry does not
+    change.  The floats are therefore those a full pass would compute.
+    ``cost`` sums the entries zeroed by events turning true: their weight
+    in the table's own weights.  ``undo(level)`` restores the entries
+    logged since that level, and the cost, as ``Propagator.backtrack``
+    does for values; a level whose propagate conflicted was never
+    updated.
+    """
+
+    def __init__(self, instance: WcnfInstance, bound: Sequence[float]):
+        self.bound = list(bound)
+        self.cost = 0.0
+        self._combine = math.fsum if instance.tree_shaped else max
+        self._log: list[tuple[int, float]] = []  # (variable, entry before)
+        self._marks: list[tuple[int, float]] = []  # (log length, cost) per level
+
+    def update(self, prop: Propagator) -> None:
+        """Bring the table up to date with the newest decision level."""
+        parents, bound, log = prop.parents, self.bound, self._log
+        val, ctl, kids, combine = prop.val, prop.ctl, prop.kids, self._combine
+        self._marks.append((len(log), self.cost))
+        # Children have smaller variables than their gates, so popping in
+        # increasing order recomputes each gate once, after its children.
+        queue = [
+            abs(lit) for lit in prop.trail[prop.level_starts[-1]:]
+            if lit < 0 or not ctl[lit]  # true gates keep their entries
+        ]
+        queued = set(queue)
+        heapq.heapify(queue)
+        while queue:
+            v = heapq.heappop(queue)
+            if val[v] < 0:
+                new = math.inf
+            elif not ctl[v]:
+                new = 0.0
+                self.cost += bound[v]
+            else:
+                child_bounds = [bound[c] for c in kids[v]]
+                new = combine(child_bounds) if ctl[v] < 0 else min(child_bounds)
+            if bound[v] != new:
+                log.append((v, bound[v]))
+                bound[v] = new
+                for p in parents[v]:
+                    if p not in queued:
+                        queued.add(p)
+                        heapq.heappush(queue, p)
+
+    def undo(self, level: int) -> None:
+        """Restore the entries and the cost of every level beyond ``level``."""
+        if len(self._marks) <= level:
+            return
+        mark, self.cost = self._marks[level]
+        del self._marks[level:]
+        bound = self.bound
+        for v, old in reversed(self._log[mark:]):
+            bound[v] = old
+        del self._log[mark:]
+
+
+def _cheapest_events(instance: WcnfInstance, bound: Sequence[float]) -> list[str]:
+    """Events reached from the root through every AND child and, at each
+    OR, the child with the least ``bound``: an optimal completion on a
+    tree, a feasible guess under sharing."""
+    event_of_var = instance.var_map.event_of_var
+    first_gate = len(event_of_var) + 1
+    seen: set[int] = set()
+    walk = [instance.var_map.root_var]
+    while walk:
+        v = walk.pop()
+        if v >= first_gate and v not in seen:
+            is_and, kids = instance.circuit[v - first_gate]
+            walk.extend(kids if is_and else (min(kids, key=bound.__getitem__),))
+        seen.add(v)
+    return [event_of_var[v] for v in seen if v < first_gate]
+
+
+def _cores(instance: WcnfInstance, prop: Propagator, target: float,
+           deadline: float) -> tuple[float, list[float], Optional[list[str]]]:
+    """Weight-split path sets (the cores of core-guided MaxSAT): a bound
+    ``lb`` and residual event weights ``r`` such that every cut set C of
+    the root weighs at least ``lb + sum(r[e] for e in C)``.
+
+    Events true at the root are in every C; their weight goes to ``lb``.
+    Each round takes the zero-residual events as true and walks down from
+    the root over false nodes to a path set P, whose joint non-occurrence
+    keeps the top from failing, so that every C meets it: every child of
+    an OR, the false child of an AND with the least sum of ``1/r`` below
+    it, never a variable false at the root.  P's least residual leaves
+    every member and joins ``lb``.  The rounds stop once ``lb`` reaches
+    ``target`` or the deadline passes, or once the zero-residual events
+    fail the top, and then return those events."""
+    val, ctl, kids = prop.val, prop.ctl, prop.kids
+    first_gate = len(instance.var_map.var_of_event) + 1
+    top = instance.var_map.root_var
+    r = [0.0 if x > 0 else w for x, w in zip(val, prop.weight[:first_gate])]
+    lb = math.fsum(w for x, w in zip(val, prop.weight[:first_gate]) if x > 0)
+    # Per variable: 1 true, 0 false, -1 false at the root; the sum of 1/r
+    # over the path set a walk from it takes; an AND's chosen child.
+    z = [-1 if x < 0 else 0 for x in val]
+    score, pick = [0.0] * len(val), [0] * len(val)
+    gates = [(g, ctl[g] < 0, kids[g])
+             for g in range(first_gate, len(val) - instance.blocking) if val[g] >= 0]
+    core, m = [v for v in range(1, first_gate) if val[v] >= 0], 0.0  # sets z, score
+    while True:
+        for v in core:
+            r[v] -= m
+            z[v], score[v] = (1, 0.0) if r[v] == 0.0 else (0, 1.0 / r[v])
+        lb += m
+        if lb >= target or time.perf_counter() > deadline:
+            return lb, r, None
+        for g, is_and, gkids in gates:
+            if is_and:
+                low, best = math.inf, 0
+                for c in gkids:
+                    if z[c] <= 0 and (not best or score[c] < low):
+                        low, best = score[c], c
+                z[g], score[g], pick[g] = (0, low, best) if best else (1, 0.0, 0)
+            else:
+                low = 0.0
+                for c in gkids:
+                    if z[c] > 0:
+                        z[g] = 1
+                        break
+                    low += score[c]
+                else:
+                    z[g], score[g] = 0, low
+        if z[top] > 0:
+            event_of_var = instance.var_map.event_of_var
+            return lb, r, [event_of_var[v] for v in range(1, first_gate) if z[v] > 0]
+        core, walk, seen = [], [top], {top}
+        while walk:
+            v = walk.pop()
+            if v < first_gate:
+                core.append(v)
+                continue
+            for c in (pick[v],) if ctl[v] < 0 else kids[v]:
+                if z[c] == 0 and c not in seen:
+                    seen.add(c)
+                    walk.append(c)
+        if not core:  # no model is left; the search will find that out
+            return lb, r, None
+        m = min(r[v] for v in core)

@@ -2,18 +2,20 @@
 
 One branch-and-bound search over event variables serves two
 complementary strategies.  Both share the propagation engine, the
-lower-bound table, the warm-start incumbent and the prune test; they
-differ only in the order in which open nodes leave the frontier:
+lower bounds, the warm-start incumbent and the prune test; they differ
+only in the order in which open nodes leave the frontier:
 
 * branch and bound: depth first, preferred value (event absent) first;
 * best first: least cost plus lower bound first (A*), so the incumbent
   is proven once no open node's bound can beat it.
 
 Every solve sets up its root once: the hard units propagated, the root
-bound table and the warm start.  A portfolio runs several configurations
-concurrently, each from its own fork of that one root; the first
-proven-optimal finisher wins and the rest are cancelled cooperatively
-through a flag they poll at every decision.
+bound table and warm start and, on shared-node instances whose root that
+table leaves open, the core pass's bound, table and warm start (see
+``circuit``).  A portfolio runs several configurations concurrently,
+each from its own fork of that one root; the first proven-optimal
+finisher wins and the rest are cancelled cooperatively through a flag
+they poll at every decision.
 
 Weight bookkeeping: search-time costs accumulate incrementally, but any
 weight that leaves this module is recomputed with ``math.fsum`` over the
@@ -24,7 +26,6 @@ whichever strategy produced them.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
 import threading
@@ -32,15 +33,11 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import count
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .encoding import (
-    WcnfInstance,
-    WeightMap,
-    build_wcnf,
-    event_weights,
-    joint_probability,
-)
+from .circuit import (Propagator, _BoundTable, _cheapest_events, _cores, _exact_weight,
+                      _meets_hard, _residual_bound, _sweep, complete_assignment)
+from .encoding import WcnfInstance, WeightMap, build_wcnf, event_weights, joint_probability
 from .fault_tree import FaultTree
 
 PRUNE_EPS = 1e-12
@@ -110,16 +107,8 @@ class SolverConfig:
 def default_portfolio(time_budget: float = 60.0) -> list[SolverConfig]:
     """Two deliberately different configurations, per strategy diversity."""
     return [
-        SolverConfig(
-            strategy=Strategy.BRANCH_AND_BOUND,
-            var_order=VarOrder.DESCENDING_WEIGHT,
-            time_budget=time_budget,
-        ),
-        SolverConfig(
-            strategy=Strategy.BEST_FIRST,
-            var_order=VarOrder.ASCENDING_WEIGHT,
-            time_budget=time_budget,
-        ),
+        SolverConfig(Strategy.BRANCH_AND_BOUND, VarOrder.DESCENDING_WEIGHT, time_budget),
+        SolverConfig(Strategy.BEST_FIRST, VarOrder.ASCENDING_WEIGHT, time_budget),
     ]
 
 
@@ -174,279 +163,7 @@ class MpmcsResult:
 
 
 # ---------------------------------------------------------------------------
-# Propagation engine
-
-
-class Propagator:
-    """Unit propagation on the circuit's gates, with a backtrackable trail.
-
-    Write ``c`` for a gate's controlling value (false for AND, true for
-    OR).  A child with value ``c`` gives its gate ``c``; once every child
-    holds ``-c``, so does the gate; a gate with ``-c`` gives it to every
-    child; a gate with ``c`` whose children all hold ``-c`` but one open
-    child forces that child to ``c``: unit propagation on each gate's
-    Tseitin clauses.  Per variable ``v``: ``ctl[v]`` is its controlling
-    value as a gate (-1 AND, 1 OR, 0 for an event), ``kids[v]`` its
-    children, ``parents[v]`` the gates with child ``v``, ``_other[v]``
-    its children holding ``-c``.  ``assert_units`` asserts the root true
-    and every blocking gate false.  The running ``cost``, the weight of
-    the events assigned true, serves pruning only, never reported totals.
-    """
-
-    __slots__ = ("val", "weight", "ctl", "kids", "parents", "_other", "_units",
-                 "trail", "level_starts", "qhead", "cost", "propagations")
-
-    def __init__(self, instance: WcnfInstance):
-        first_gate = len(instance.var_map.var_of_event) + 1
-        n = first_gate + len(instance.circuit)
-        self.val = [0] * n
-        self.weight = [0.0] * n
-        for v, w in instance.soft:
-            self.weight[v] = w
-        self.ctl = [0] * first_gate + [-1 if a else 1 for a, _ in instance.circuit]
-        self.kids = [()] * first_gate + [kids for _, kids in instance.circuit]
-        self.parents: list[list[int]] = [[] for _ in range(n)]
-        for g in range(first_gate, n):
-            for c in self.kids[g]:
-                self.parents[c].append(g)
-        self._other = [0] * n
-        self._units = [instance.var_map.root_var]
-        for g in range(n - instance.blocking, n):
-            # One event's blocking gate is a unit clause: assert the event.
-            self._units += [-g, -self.kids[g][0]] if len(self.kids[g]) == 1 else [-g]
-        self.trail: list[int] = []
-        self.level_starts: list[int] = []
-        self.qhead = 0
-        self.cost = 0.0
-        self.propagations = 0
-
-    def fork(self) -> "Propagator":
-        """A copy that shares the circuit's read-only arrays and owns its
-        assignment, so forks search independently of each other."""
-        twin = copy.copy(self)
-        twin.val, twin._other = self.val[:], self._other[:]
-        twin.trail, twin.level_starts = self.trail[:], self.level_starts[:]
-        return twin
-
-    def _set(self, v: int, x: int) -> bool:
-        """Give an open ``v`` the value ``x``; False if ``v`` holds ``-x``."""
-        if self.val[v]:
-            return self.val[v] == x
-        self.val[v] = x
-        if x > 0:
-            self.cost += self.weight[v]
-        for p in self.parents[v]:
-            if x != self.ctl[p]:
-                self._other[p] += 1
-        self.trail.append(v if x > 0 else -v)
-        return True
-
-    def _last_child(self, g: int) -> bool:
-        """For ``g`` holding its controlling value: conflict when no child
-        can hold it too, force the one child left that can."""
-        kids, c = self.kids[g], self.ctl[g]
-        left = len(kids) - self._other[g]
-        if left == 1:
-            return self._set(next(k for k in kids if self.val[k] != -c), c)
-        return left > 0
-
-    def assert_units(self) -> bool:
-        """Assert the root and the blocking gates; False on conflict."""
-        units = all(self._set(abs(u), 1 if u > 0 else -1) for u in self._units)
-        return units and self.propagate()
-
-    def decide(self, var: int, value: bool) -> None:
-        self.level_starts.append(len(self.trail))
-        self._set(var, 1 if value else -1)
-
-    def propagate(self) -> bool:
-        """Propagate everything pending; False on conflict."""
-        trail, val, ctl, kids, other = (
-            self.trail, self.val, self.ctl, self.kids, self._other
-        )
-        start = len(trail)
-        try:
-            while self.qhead < len(trail):
-                lit = trail[self.qhead]
-                self.qhead += 1
-                v, x = (lit, 1) if lit > 0 else (-lit, -1)
-                if ctl[v] == x:
-                    if not self._last_child(v):
-                        return False
-                elif ctl[v] and not all(self._set(k, x) for k in kids[v]):
-                    return False
-                for p in self.parents[v]:
-                    if ctl[p] == x or other[p] == len(kids[p]):
-                        if not self._set(p, x):
-                            return False
-                    elif val[p] == ctl[p] and not self._last_child(p):
-                        return False
-            return True
-        finally:
-            self.propagations += len(trail) - start
-
-    def backtrack(self, level: int) -> None:
-        """Undo all decisions beyond ``level`` (0 keeps only root units)."""
-        if len(self.level_starts) <= level:
-            return
-        pos = self.level_starts[level]
-        del self.level_starts[level:]
-        for lit in reversed(self.trail[pos:]):
-            v, x = (lit, 1) if lit > 0 else (-lit, -1)
-            if x > 0:
-                self.cost -= self.weight[v]
-            self.val[v] = 0
-            for p in self.parents[v]:
-                if x != self.ctl[p]:
-                    self._other[p] -= 1
-        del self.trail[pos:]
-        self.qhead = len(self.trail)
-
-
-# ---------------------------------------------------------------------------
-# Shared helpers
-
-
-def _exact_weight(val: Sequence[int], instance: WcnfInstance) -> float:
-    return math.fsum(w for var, w in instance.soft if val[var] > 0)
-
-
-def complete_assignment(
-    instance: WcnfInstance, true_events: Iterable[str]
-) -> tuple[int, ...]:
-    """Model with exactly ``true_events`` true and every gate evaluated."""
-    var_of_event = instance.var_map.var_of_event
-    val = [-1] * (len(var_of_event) + len(instance.circuit) + 1)
-    val[0] = 0
-    for eid in true_events:
-        val[var_of_event[eid]] = 1
-    for g, (is_and, kids) in enumerate(instance.circuit, len(var_of_event) + 1):
-        if is_and:
-            true = all(val[c] > 0 for c in kids)
-        else:
-            true = any(val[c] > 0 for c in kids)
-        val[g] = 1 if true else -1
-    return tuple(val)
-
-
-def _meets_hard(instance: WcnfInstance, val: Sequence[int]) -> bool:
-    """Whether ``val`` holds the root true and every blocking gate false."""
-    blocking = val[len(val) - instance.blocking:]
-    return val[instance.var_map.root_var] > 0 and all(v < 0 for v in blocking)
-
-
-def _residual_bound(
-    instance: WcnfInstance, val: Sequence[int], weight: Sequence[float]
-) -> list[float]:
-    """Admissible lower bound, per variable, on the extra weight to make it true.
-
-    Evaluates the circuit under the current assignment: a true event
-    costs nothing more, a false event or gate can no longer provide
-    support, an open event costs its weight.  AND combines children by
-    sum on tree-shaped instances (each event appears once) and by max
-    under sharing, which never overestimates.  Entry ``root_var`` bounds
-    the whole completion; on a tree it is exact.  ``weight`` is indexed
-    by variable.
-
-    This is the one full pass over the circuit: a solve runs it once,
-    in ``_root``, and each search's ``_BoundTable`` keeps its own copy
-    of the result current from there, bit for bit.
-    """
-    first_gate = len(instance.var_map.var_of_event) + 1
-    bound = [
-        0.0 if v > 0 else math.inf if v < 0 else w
-        for v, w in zip(val[:first_gate], weight)
-    ]
-    combine = math.fsum if instance.tree_shaped else max
-    for g, (is_and, kids) in enumerate(instance.circuit, first_gate):
-        if val[g] < 0:
-            bound.append(math.inf)
-        else:
-            child_bounds = [bound[c] for c in kids]
-            bound.append(combine(child_bounds) if is_and else min(child_bounds))
-    return bound
-
-
-class _BoundTable:
-    """A copy of the root's ``_residual_bound`` table, kept current on one
-    search's trail.
-
-    ``update`` follows a clean propagate: it sets the entries of the
-    variables the newest decision level assigned (a true event costs 0,
-    a false variable is ``inf``; a true gate's entry still comes from its
-    children) and re-evaluates their ancestors in increasing variable
-    order, so each gate is recomputed once, after its children, with the
-    full pass's own expression, and stops where an entry does not
-    change.  The floats are therefore those a full pass would compute.
-    ``undo(level)`` restores the entries logged since that level, as
-    ``Propagator.backtrack(level)`` does for values; a level whose
-    propagate conflicted was never updated and has nothing to undo.
-    Gates and parents come from the propagator's per-variable arrays.
-    """
-
-    def __init__(self, instance: WcnfInstance, bound: Sequence[float]):
-        self.bound = list(bound)
-        self._combine = math.fsum if instance.tree_shaped else max
-        self._log: list[tuple[int, float]] = []  # (variable, entry before)
-        self._marks: list[int] = []  # log length at the start of each level
-
-    def update(self, prop: Propagator) -> None:
-        """Bring the table up to date with the newest decision level."""
-        parents, bound, log = prop.parents, self.bound, self._log
-        val, ctl, kids, combine = prop.val, prop.ctl, prop.kids, self._combine
-        self._marks.append(len(log))
-        # Children have smaller variables than their gates, so popping in
-        # increasing order recomputes each gate once, after its children.
-        queue = [
-            abs(lit) for lit in prop.trail[prop.level_starts[-1]:]
-            if lit < 0 or not ctl[lit]  # true gates keep their entries
-        ]
-        queued = set(queue)
-        heapq.heapify(queue)
-        while queue:
-            v = heapq.heappop(queue)
-            if val[v] < 0:
-                new = math.inf
-            elif not ctl[v]:
-                new = 0.0
-            else:
-                child_bounds = [bound[c] for c in kids[v]]
-                new = combine(child_bounds) if ctl[v] < 0 else min(child_bounds)
-            if bound[v] != new:
-                log.append((v, bound[v]))
-                bound[v] = new
-                for p in parents[v]:
-                    if p not in queued:
-                        queued.add(p)
-                        heapq.heappush(queue, p)
-
-    def undo(self, level: int) -> None:
-        """Restore the entries of every level beyond ``level``."""
-        if len(self._marks) <= level:
-            return
-        mark = self._marks[level]
-        del self._marks[level:]
-        bound = self.bound
-        for v, old in reversed(self._log[mark:]):
-            bound[v] = old
-        del self._log[mark:]
-
-
-def _cheapest_events(instance: WcnfInstance, bound: Sequence[float]) -> list[str]:
-    """Events reached from the root through every AND child and, at each
-    OR, the child with the least ``bound``: an optimal completion on a
-    tree, a feasible guess under sharing."""
-    event_of_var = instance.var_map.event_of_var
-    first_gate = len(event_of_var) + 1
-    seen: set[int] = set()
-    walk = [instance.var_map.root_var]
-    while walk:
-        v = walk.pop()
-        if v >= first_gate and v not in seen:
-            is_and, kids = instance.circuit[v - first_gate]
-            walk.extend(kids if is_and else (min(kids, key=bound.__getitem__),))
-        seen.add(v)
-    return [event_of_var[v] for v in seen if v < first_gate]
+# Search
 
 
 def _prune_slack(incumbent: float) -> float:
@@ -456,10 +173,6 @@ def _prune_slack(incumbent: float) -> float:
     if incumbent == math.inf:
         return PRUNE_EPS
     return PRUNE_EPS * abs(incumbent)
-
-
-# ---------------------------------------------------------------------------
-# Search
 
 
 @dataclass(frozen=True)
@@ -474,11 +187,18 @@ class _Root:
     warm: Optional[tuple[int, ...]]  # the warm start, unless blocked
     events: list[int]  # event variables in event-id order
     start: float
+    lb: float = 0.0  # the core pass's bound, when it ran
+    rbound: Optional[list[float]] = None  # the root table over its residuals
 
 
-def _root(instance: WcnfInstance) -> _Root:
-    """Set up a solve; the warm start walks the root table, so it is
-    optimal on trees and those prove with no decisions."""
+def _root(instance: WcnfInstance, time_budget: float = math.inf) -> _Root:
+    """Set up a solve: propagate the root and walk the root table to a
+    warm start, optimal on trees, so those prove with no decisions (and
+    their table, exact, is never weaker than the core pass's bound).
+    Under sharing, while the root is open, the core pass adds a second
+    bound and warm start, its zero-residual events swept to a minimal cut
+    set.  The budget stops only the core pass, so a search out of time
+    still returns a warm start; a pass cut short makes no second one."""
     start = time.perf_counter()
     prop = Propagator(instance)
     if not prop.assert_units():
@@ -488,27 +208,35 @@ def _root(instance: WcnfInstance) -> _Root:
     # Blocking gates over several events can rule the walked set out.
     warm = walked if _meets_hard(instance, walked) else None
     events = [var for _, var in sorted(instance.var_map.var_of_event.items())]
-    return _Root(instance, prop, bound, warm, events, start)
+    warm_w = math.inf if warm is None else _exact_weight(warm, instance)
+    target = warm_w - _prune_slack(warm_w)
+    if instance.tree_shaped or prop.cost + bound[instance.var_map.root_var] >= target:
+        return _Root(instance, prop, bound, warm, events, start)
+    lb, residual, zero = _cores(instance, prop, target, start + time_budget)
+    if zero is not None:
+        var_of = instance.var_map.var_of_event
+        cut = _sweep(instance, complete_assignment(instance, zero),
+                     lambda e: prop.weight[var_of[e]])
+        swept = complete_assignment(instance, cut)
+        if _meets_hard(instance, swept) and _exact_weight(swept, instance) < warm_w:
+            warm = swept
+    rbound = _residual_bound(instance, prop.val, residual)
+    return _Root(instance, prop, bound, warm, events, start, lb, rbound)
 
 
-def _search(
-    root: _Root,
-    config: SolverConfig,
-    cancel: Optional[threading.Event],
-    best_first: bool,
-) -> Solution:
+def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event],
+            best_first: bool) -> Solution:
     """Branch and bound over event variables from a fork of ``root``;
     ``best_first`` chooses only the order in which open nodes leave the
     frontier.
 
-    The incumbent starts as the root's warm start, and each node is
-    pruned when its cost plus the root's ``_residual_bound`` table
-    cannot beat the incumbent.  A ``_BoundTable`` keeps this search's
-    copy of the table current along the trail: each decision
-    re-evaluates only the ancestors of the variables it assigned, and
-    backtracking restores the entries it changed.  A node branches on
-    the next open event in the branching order after its own; auxiliary
-    variables are never decided, gate propagation forces them once the
+    The incumbent starts as the root's warm start.  A node is pruned when
+    its bound cannot beat the incumbent: its cost plus the root table's
+    entry for the top or, where the core pass ran, the larger of that and
+    the pass's ``lb`` plus the node's residual cost and residual table
+    entry.  Each table is a ``_BoundTable`` kept current along the trail
+    (see there).  A node branches on the next open event in the branching
+    order after its own; gate propagation forces the gates once the
     events settle.
 
     A node is one decision with a parent link, ``(parent, depth,
@@ -524,8 +252,8 @@ def _search(
     instance = root.instance
     deadline = root.start + config.time_budget
     prop = root.prop.fork()
-    table = _BoundTable(instance, root.bound)
-    bound = table.bound
+    tables = [_BoundTable(instance, b) for b in (root.bound, root.rbound) if b is not None]
+    bound, rtable = tables[0].bound, tables[-1]
     # Branching order; the sort is stable, so equal weights keep event-id order.
     order = sorted(root.events, key=prop.weight.__getitem__,
                    reverse=config.var_order is VarOrder.DESCENDING_WEIGHT)
@@ -542,6 +270,8 @@ def _search(
     proven = False
     while True:
         lower = prop.cost + bound[top] if clean else math.inf
+        if clean and root.rbound is not None:
+            lower = max(lower, root.lb + rtable.cost + rtable.bound[top])
         if lower < incumbent_w - _prune_slack(incumbent_w):
             # Every event before this node's was set when it decided.
             pos = node[2] + 1 if node else 0
@@ -587,13 +317,15 @@ def _search(
             steps.append(up)
         level = steps[-1][1] - 1
         prop.backtrack(level)
-        table.undo(level)
+        for t in tables:
+            t.undo(level)
         del path[level:]
         for step in reversed(steps):
             prop.decide(order[step[2]], step[3])
             clean = prop.propagate()
             if clean:
-                table.update(prop)
+                for t in tables:
+                    t.update(prop)
                 path.append(step)
         decisions += 1
 
@@ -609,24 +341,18 @@ def _search(
     )
 
 
-def solve_branch_and_bound(
-    instance: WcnfInstance,
-    config: SolverConfig,
-    cancel: Optional[threading.Event] = None,
-) -> Solution:
+def solve_branch_and_bound(instance: WcnfInstance, config: SolverConfig,
+                           cancel: Optional[threading.Event] = None) -> Solution:
     """Depth-first branch and bound (see ``_search``), whatever
     ``config.strategy`` says."""
-    return _search(_root(instance), config, cancel, best_first=False)
+    return _search(_root(instance, config.time_budget), config, cancel, best_first=False)
 
 
-def solve_best_first(
-    instance: WcnfInstance,
-    config: SolverConfig,
-    cancel: Optional[threading.Event] = None,
-) -> Solution:
+def solve_best_first(instance: WcnfInstance, config: SolverConfig,
+                     cancel: Optional[threading.Event] = None) -> Solution:
     """Best-first branch and bound (see ``_search``): A* order over the
     same nodes, bound and pruning, whatever ``config.strategy`` says."""
-    return _search(_root(instance), config, cancel, best_first=True)
+    return _search(_root(instance, config.time_budget), config, cancel, best_first=True)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +375,8 @@ def solve_portfolio(
     """
     if not configs:
         raise ValueError("portfolio needs at least one configuration")
-    root = _root(instance)
+    # The members share one root, so it may take the largest budget.
+    root = _root(instance, max(cfg.time_budget for cfg in configs))
     cancel = threading.Event()
     # Per worker: its Solution or the exception it raised, and its exit time.
     records: list = [None] * len(configs)
@@ -663,10 +390,8 @@ def solve_portfolio(
             outcome = exc
         records[i] = (outcome, time.perf_counter())
 
-    threads = [
-        threading.Thread(target=work, args=(i, cfg), daemon=True)
-        for i, cfg in enumerate(configs)
-    ]
+    threads = [threading.Thread(target=work, args=(i, cfg), daemon=True)
+               for i, cfg in enumerate(configs)]
     for t in threads:
         t.start()
     for t in threads:
@@ -680,10 +405,8 @@ def solve_portfolio(
         raise PortfolioError(errs)
 
     # The winner is the first worker to exit with a proof.
-    won = min(
-        (t for out, t in records if isinstance(out, Solution) and out.proven),
-        default=None,
-    )
+    won = min((t for out, t in records if isinstance(out, Solution) and out.proven),
+              default=None)
     reports = []
     for cfg, (out, exited) in zip(configs, records):
         after = None if won is None else max(0.0, exited - won)
@@ -717,13 +440,8 @@ def extract_mpmcs(
     event whose probability is that close to 1.
 
     The model must be the circuit's evaluation of its own events, with
-    the root true and every blocking gate false.  The circuit is
-    monotone, so a gate false under the model stays false under every
-    subset of its events.  The sweep keeps the true gates above each
-    true variable and a slack per true variable (1 for an event or AND
-    gate, the number of true children for an OR gate); a trial drop
-    walks only the variables whose slack reaches 0, and is undone if
-    the root is among them.
+    the root true and every blocking gate false; ``_sweep`` drops the
+    members.
     """
     if solution.assignment is None:
         raise ValueError("solution carries no model to extract from")
@@ -732,31 +450,8 @@ def extract_mpmcs(
     cut = {eid for eid, var in var_of_event.items() if val[var] > 0}
     if val != complete_assignment(instance, cut) or not _meets_hard(instance, val):
         raise InconsistencyError("solution is not a model of the hard constraints")
-    root = instance.var_map.root_var
-    slack = [1 if v > 0 else 0 for v in val]
-    up: dict[int, list[int]] = {}
-    for g, (is_and, kids) in enumerate(instance.circuit, len(var_of_event) + 1):
-        if val[g] > 0:
-            true_kids = [c for c in kids if val[c] > 0]
-            for c in true_kids:
-                up.setdefault(c, []).append(g)
-            if not is_and:
-                slack[g] = len(true_kids)
-    for eid in sorted(cut, key=lambda e: (-weights[e], e)):
-        fell = [var_of_event[eid]]
-        slack[fell[0]] = 0
-        for v in fell:  # grows as gates turn false
-            for g in up.get(v, ()):
-                slack[g] -= 1
-                if slack[g] == 0:
-                    fell.append(g)
-        if slack[root] > 0:
-            cut.discard(eid)
-        else:  # the root fell: undo the walk
-            slack[fell[0]] = 1
-            for g in (g for v in fell for g in up.get(v, ())):
-                slack[g] += 1
-    if complete_assignment(instance, cut)[root] <= 0:
+    cut = _sweep(instance, val, weights.__getitem__)
+    if complete_assignment(instance, cut)[instance.var_map.root_var] <= 0:
         raise InconsistencyError("extracted cut set does not fail the top event")
     ws = [weights[e] for e in cut]
     log_weight = math.fsum(ws)

@@ -235,30 +235,49 @@ def test_strategies_match_oracle(t):
 
 
 @settings(max_examples=40, deadline=None)
-@given(strategies.fault_trees(max_events=6, shared=True))
-def test_strategies_match_oracle_on_dags(t):
+@given(strategies.fault_trees(max_events=6, shared=True), st.data())
+def test_strategies_match_oracle_on_dags(t, data):
+    """Also with a blocking clause over at least two events, which the
+    core pass's bound and second warm start must respect."""
     _assert_strategies_match_oracle(t)
+    events = sorted(t.event_ids)
+    if len(events) > 1:
+        blocked = data.draw(st.sets(st.sampled_from(events), min_size=2))
+        _assert_strategies_match_oracle(t, frozenset(blocked))
 
 
-def _assert_strategies_match_oracle(t):
+def _assert_strategies_match_oracle(t, blocked=None):
+    """Every configuration proves the least-weight cut set of ``t`` that
+    does not contain all of ``blocked``; the root's bounds, the core
+    pass's included, do not exceed it."""
     instance = build_wcnf(t)
     weights = event_weights(t)
-    want = oracle_mpmcs(t)
     root = instance.var_map.root_var
     events = sorted(t.event_ids)
     for k in range(len(events) + 1):
         for chosen in itertools.combinations(events, k):
             circuit_says = complete_assignment(instance, frozenset(chosen))[root] > 0
             assert circuit_says == evaluate(t, {e: True for e in chosen}), chosen
-    prop = Propagator(instance)
-    assert prop.assert_units()
-    bound = _residual_bound(instance, prop.val, prop.weight)[root]
-    assert prop.cost + bound <= want.log_weight + PRUNE_EPS
+    if blocked is None:
+        want = oracle_mpmcs(t).log_weight
+    else:
+        instance = add_blocking_clause(instance, blocked)
+        allowed = [math.fsum(weights[e] for e in cut)
+                   for cut in satisfying_event_sets(t) if not blocked <= cut]
+        if not allowed:
+            with pytest.raises(UnsatisfiableError):
+                solve_branch_and_bound(instance, SolverConfig())
+            return
+        want = min(allowed)
+    start = solver._root(instance)
+    bound = start.bound[root]
+    assert start.prop.cost + bound <= want + PRUNE_EPS
+    assert start.lb <= want + PRUNE_EPS
     for config in ALL_CONFIGS:
         sol = _solve(instance, config)
         assert sol.proven, config.solver_id
         res = extract_mpmcs(sol, instance, weights)
-        assert res.log_weight == pytest.approx(want.log_weight, rel=1e-9, abs=0), (
+        assert res.log_weight == pytest.approx(want, rel=1e-9, abs=0), (
             config.solver_id
         )
         assert is_minimal_cut(t, res.cut_set), config.solver_id
@@ -336,22 +355,32 @@ def test_root_bound_table_is_built_once(fire_instance, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "search", [solve_branch_and_bound, solve_best_first], ids=["bnb", "bestfirst"]
+    "search, decisions",
+    [(solve_branch_and_bound, 1110), (solve_best_first, 1083)],
+    ids=["bnb", "bestfirst"],
 )
-def test_root_bound_table_is_built_once_in_a_search(search, monkeypatch):
-    """Branching keeps the root table current instead of recomputing it."""
-    calls = []
+def test_root_bound_table_is_built_once_in_a_search(search, decisions, monkeypatch):
+    """Branching keeps the root tables current instead of recomputing
+    them: the root builds two, the first table and the core pass's
+    residual table, and the search builds none."""
+    calls, before_search = [], []
+    real_search = solver._search
 
     def counted(*args):
         calls.append(args)
         return _residual_bound(*args)
 
-    instance = build_wcnf(seeded_dag(200, 0.3, 1))
+    def counted_search(*args, **kwargs):
+        before_search.append(len(calls))
+        return real_search(*args, **kwargs)
+
+    instance = build_wcnf(seeded_dag(1000, 2.0, 1))
     monkeypatch.setattr(solver, "_residual_bound", counted)
+    monkeypatch.setattr(solver, "_search", counted_search)
     sol = search(instance, SolverConfig())
     assert sol.proven
-    assert sol.stats.decisions == 270
-    assert len(calls) == 1
+    assert sol.stats.decisions == decisions
+    assert (before_search, len(calls)) == ([2], 2)
 
 
 def _four_event_dag():
@@ -481,6 +510,38 @@ def test_portfolio_budget_holds_at_size():
     assert sol.assignment is not None
 
 
+def test_core_pass_stops_at_the_budget():
+    """A root whose budget runs out during set-up runs no core: it keeps
+    the residual weights, the events true at the root folded into the
+    bound, and its first warm start, which the search returns unproven."""
+    instance = build_wcnf(seeded_dag(2000, 0.2, 1))
+    root = solver._root(instance, 1e-9)
+    assert root.rbound is not None
+    assert root.lb == pytest.approx(root.prop.cost, rel=1e-12)
+    assert root.lb < solver._root(instance).lb
+    assert root.warm == complete_assignment(
+        instance, solver._cheapest_events(instance, root.bound)
+    )
+    sol = solve_branch_and_bound(instance, SolverConfig(time_budget=1e-6))
+    assert not sol.proven
+    assert sol.assignment == root.warm
+
+
+def test_core_pass_skips_tree_shaped_instances(monkeypatch):
+    """On a tree the first table (sum at AND) is already at least as
+    tight as the core pass's bound, so the pass never runs, even with
+    the root open."""
+    def refuse(*args):
+        raise AssertionError("the core pass ran on a tree")
+
+    monkeypatch.setattr(solver, "_cores", refuse)
+    big = build_wcnf(random_fault_tree(GeneratorParams(nodes=2000, seed=1)))
+    for instance in (_tied_tree_second_solve(), big):
+        assert instance.tree_shaped
+        assert solver._root(instance).rbound is None
+        assert solve_branch_and_bound(instance, SolverConfig()).proven
+
+
 def test_pre_set_cancel_flag_stops_both(fire_instance, monkeypatch):
     """A search cancelled before it starts still sets up its root once,
     and returns the warm start unproven without deciding anything."""
@@ -542,20 +603,45 @@ def test_branch_costs_grow_along_paths():
     assert decisions > 2, "search must have explored below the root"
 
 
-def _walk_bound_table(instance) -> None:
-    """Exhaustive decide/propagate/backtrack walk that drives a
-    ``_BoundTable`` beside its ``Propagator``; after every clean propagate
-    and every backtrack the table must equal the full pass exactly."""
-    prop = Propagator(instance)
-    if not prop.assert_units():
+def _walk_bound_table(instance, t, blocked=frozenset()) -> None:
+    """Exhaustive decide/propagate/backtrack walk that drives the root's
+    ``_BoundTable``s beside a fork of its ``Propagator``; after every
+    clean propagate and every backtrack each table must equal the full
+    pass exactly.  Where the core pass ran, the residual table's cost
+    must be the residual weight of the true events, and at every clean
+    node its bound must not exceed the least weight of a cut set of
+    ``t`` that extends the node's assignment, by brute force."""
+    try:
+        root = solver._root(instance)
+    except UnsatisfiableError:
         return
-    table = solver._BoundTable(
-        instance, _residual_bound(instance, prop.val, prop.weight)
-    )
-    order = sorted(instance.var_map.var_of_event.values())
+    prop = root.prop.fork()
+    table = solver._BoundTable(instance, root.bound)
+    rtable = None if root.rbound is None else solver._BoundTable(instance, root.rbound)
+    residual = root.rbound  # an event's entry is its residual weight at the root
+    top = instance.var_map.root_var
+    events = instance.var_map.var_of_event
+    weights = event_weights(t)
+    # Cut sets as bitmasks over event variables, with their weights.
+    cuts = [(sum(1 << events[e] for e in cut), math.fsum(weights[e] for e in cut))
+            for cut in satisfying_event_sets(t) if not blocked or not blocked <= cut]
 
-    def check() -> None:
+    def check(clean: bool) -> None:
         assert table.bound == _residual_bound(instance, prop.val, prop.weight)
+        if rtable is None:
+            return
+        assert rtable.bound == _residual_bound(instance, prop.val, residual)
+        true = [v for v in events.values() if prop.val[v] > 0]
+        assert rtable.cost == pytest.approx(
+            math.fsum(residual[v] for v in true), rel=1e-12, abs=1e-12
+        )
+        if clean:
+            on = sum(1 << v for v in true)
+            off = sum(1 << v for v in events.values() if prop.val[v] < 0)
+            least = min((w for cut, w in cuts if cut & (on | off) == on),
+                        default=math.inf)
+            lower = root.lb + rtable.cost + rtable.bound[top]
+            assert lower <= least + PRUNE_EPS * max(1.0, least)
 
     def descend(depth: int) -> None:
         var = next((v for v in order if prop.val[v] == 0), None)
@@ -565,12 +651,18 @@ def _walk_bound_table(instance) -> None:
             prop.decide(var, value)
             if prop.propagate():
                 table.update(prop)
-                check()
+                if rtable is not None:
+                    rtable.update(prop)
+                check(True)
                 descend(depth + 1)
             prop.backtrack(depth)
             table.undo(depth)
-            check()
+            if rtable is not None:
+                rtable.undo(depth)
+            check(False)
 
+    order = sorted(events.values())
+    check(True)
     descend(0)
 
 
@@ -582,11 +674,27 @@ def test_bound_table_matches_full_pass(shared, data):
     tree-shaped (sum at AND) instance search."""
     t = data.draw(strategies.fault_trees(shared=shared))
     instance = build_wcnf(t)
-    _walk_bound_table(instance)
+    _walk_bound_table(instance, t)
     events = sorted(t.event_ids)
     if len(events) > 1:
-        blocked = data.draw(st.sets(st.sampled_from(events), min_size=2))
-        _walk_bound_table(add_blocking_clause(instance, frozenset(blocked)))
+        blocked = frozenset(data.draw(st.sets(st.sampled_from(events), min_size=2)))
+        _walk_bound_table(add_blocking_clause(instance, blocked), t, blocked)
+
+
+@pytest.mark.parametrize("nodes, share, seed",
+                         [(16, 0.5, 1), (16, 0.5, 14), (16, 1.0, 15), (20, 0.5, 21)])
+def test_core_pass_bounds_small_dags(nodes, share, seed):
+    """Small DAGs whose root the first table leaves open, so the core
+    pass runs: its bound holds at every node of an exhaustive walk, and
+    every configuration finds the optimum, also with it blocked."""
+    t = seeded_dag(nodes, share, seed)
+    instance = build_wcnf(t)
+    assert solver._root(instance).rbound is not None
+    _assert_strategies_match_oracle(t)
+    _walk_bound_table(instance, t)
+    best = oracle_mpmcs(t).cut_set
+    _assert_strategies_match_oracle(t, best)
+    _walk_bound_table(add_blocking_clause(instance, best), t, best)
 
 
 def test_stats_are_populated():
@@ -622,15 +730,20 @@ def _tied_tree_second_solve():
     "bestfirst_propagations",
     [
         (lambda: build_wcnf(_four_event_dag()), 2, 6, 2, 6),
-        (lambda: build_wcnf(seeded_dag(200, 0.3, 1)), 270, 361, 270, 496),
-        (lambda: build_wcnf(seeded_dag(300, 0.3, 3)), 528, 635, 528, 1113),
+        (lambda: build_wcnf(seeded_dag(200, 0.3, 1)), 0, 11, 0, 11),
+        (lambda: build_wcnf(seeded_dag(300, 0.3, 3)), 0, 37, 0, 37),
+        (lambda: build_wcnf(seeded_dag(1000, 2.0, 1)), 1110, 1849, 1083, 2165),
         (_tied_tree_second_solve, 94, 99, 105, 230),
     ],
-    ids=["four-event", "dag-200-1", "dag-300-3", "ties-100-2-blocked"],
+    ids=["four-event", "dag-200-1", "dag-300-3", "dag-1000-2.0-1",
+         "ties-100-2-blocked"],
 )
 def test_search_counts_are_frozen(make, bnb_decisions, bnb_propagations,
                                   bestfirst_decisions, bestfirst_propagations):
-    """A change to the search that alters these counts must say so."""
+    """A change to the search that alters these counts must say so.  The
+    core pass proves the first two DAGs at the root; the tied tree is
+    tree-shaped, so the pass skips it and its counts stay those of the
+    first table alone."""
     instance = make()
     bnb = solve_branch_and_bound(instance, SolverConfig())
     best = solve_best_first(instance, SolverConfig(strategy=Strategy.BEST_FIRST))
@@ -648,10 +761,12 @@ def test_search_counts_are_frozen(make, bnb_decisions, bnb_propagations,
     "make, counts",
     [
         (lambda: build_wcnf(seeded_dag(200, 0.3, 1)),
-         {"bnb": (270, 361), "bestfirst": (270, 496)}),
+         {"bnb": (0, 11), "bestfirst": (0, 11)}),
+        (lambda: build_wcnf(seeded_dag(1000, 2.0, 1)),
+         {"bnb": (1110, 1849), "bestfirst": (1083, 2165)}),
         (_tied_tree_second_solve, {"bnb": (94, 99), "bestfirst": (105, 230)}),
     ],
-    ids=["dag-200-1", "ties-100-2-blocked"],
+    ids=["dag-200-1", "dag-1000-2.0-1", "ties-100-2-blocked"],
 )
 def test_forks_of_one_root_keep_frozen_counts(make, counts):
     """Searches from forks of one root, one after another, and a portfolio
@@ -681,15 +796,25 @@ def test_portfolio_best_first_member_proves_small_dags(seed):
 
 
 def test_dag_700_is_proven_with_frozen_counts():
-    """A DAG on which branch and bound searches for long: 67,272 decisions.
-    The optimum is the one an independent MILP (``bench/reference.py``)
-    finds.  The budget is generous so that the test pins counts, not
-    speed."""
+    """A DAG that took branch and bound 67,272 decisions on the first
+    table alone; the core pass proves it at the root.  The optimum is the
+    one an independent MILP (``bench/reference.py``) finds."""
     instance = build_wcnf(seeded_dag(700, 0.1, 1))
     sol = solve_branch_and_bound(instance, SolverConfig(time_budget=600.0))
     assert sol.proven
-    assert sol.stats.decisions == 67_272
+    assert sol.stats.decisions == 0
     assert sol.weight == pytest.approx(6.15490275856601, rel=1e-9, abs=0)
+
+
+def test_dag_3000_is_proven_with_frozen_counts():
+    """A DAG on which branch and bound still searches for long, on the
+    larger of its two bounds: 8,214 decisions.  The weight is the MILP's.
+    The budget is generous so that the test pins counts, not speed."""
+    instance = build_wcnf(seeded_dag(3000, 1.0, 1))
+    sol = solve_branch_and_bound(instance, SolverConfig(time_budget=600.0))
+    assert sol.proven
+    assert sol.stats.decisions == 8_214
+    assert sol.weight == pytest.approx(2.693475001801103, rel=1e-9, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -788,12 +913,12 @@ def test_portfolio_forks_hold_under_fast_thread_switching(monkeypatch):
     was set up."""
     real_root, roots = solver._root, []
 
-    def kept(instance):
-        roots.append(real_root(instance))
+    def kept(*args):
+        roots.append(real_root(*args))
         return roots[-1]
 
     monkeypatch.setattr(solver, "_root", kept)
-    instance = build_wcnf(seeded_dag(200, 0.3, 1))
+    instance = build_wcnf(seeded_dag(1000, 2.0, 1))
     want = solve_branch_and_bound(instance, SolverConfig()).weight
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -804,8 +929,8 @@ def test_portfolio_forks_hold_under_fast_thread_switching(monkeypatch):
     assert sol.proven and sol.weight == want
     assert all(r.weight == want for r in sol.workers if r.proven)
     root, fresh = roots[-1], real_root(instance)
-    assert (root.prop.val, root.prop.trail, root.bound) == (
-        fresh.prop.val, fresh.prop.trail, fresh.bound
+    assert (root.prop.val, root.prop.trail, root.bound, root.rbound) == (
+        fresh.prop.val, fresh.prop.trail, fresh.bound, fresh.rbound
     )
 
 
