@@ -42,10 +42,7 @@ class Propagator:
             self.weight[v] = w
         self.ctl = [0] * first_gate + [-1 if a else 1 for a, _ in instance.circuit]
         self.kids = [()] * first_gate + [kids for _, kids in instance.circuit]
-        self.parents: list[list[int]] = [[] for _ in range(n)]
-        for g in range(first_gate, n):
-            for c in self.kids[g]:
-                self.parents[c].append(g)
+        self.parents = instance.parents
         self._other = [0] * n
         self._units = [instance.var_map.root_var]
         for g in range(n - instance.blocking, n):
@@ -144,17 +141,31 @@ def _exact_weight(val: Sequence[int], instance: WcnfInstance) -> float:
     return math.fsum(w for var, w in instance.soft if val[var] > 0)
 
 
-def complete_assignment(
-    instance: WcnfInstance, true_events: Iterable[str]
-) -> tuple[int, ...]:
-    """Model with exactly ``true_events`` true and every gate evaluated."""
-    var_of_event = instance.var_map.var_of_event
-    val = [-1] * (len(var_of_event) + len(instance.circuit) + 1)
+def complete_assignment(instance: WcnfInstance, true_events: Iterable[str]) -> tuple[int, ...]:
+    """Model with exactly ``true_events`` true and every gate evaluated.
+    Only a gate above a true variable can be true, so only those are
+    evaluated, in increasing order (children first); the rest are false."""
+    var_of_event, parents = instance.var_map.var_of_event, instance.parents
+    first_gate = len(var_of_event) + 1
+    val = [-1] * (first_gate + len(instance.circuit))
     val[0] = 0
+    queue: list[int] = []
     for eid in true_events:
-        val[var_of_event[eid]] = 1
-    for g, (is_and, kids) in enumerate(instance.circuit, len(var_of_event) + 1):
-        val[g] = 1 if (all if is_and else any)(val[c] > 0 for c in kids) else -1
+        v = var_of_event[eid]
+        val[v] = 1
+        queue += parents[v]
+    heapq.heapify(queue)
+    # Values are +-1, so AND is the least child value and OR the greatest.
+    get, last = val.__getitem__, 0
+    while queue:
+        g = heapq.heappop(queue)
+        if g != last:  # a gate is queued once per true child
+            last = g
+            is_and, kids = instance.circuit[g - first_gate]
+            if (min if is_and else max)(map(get, kids)) > 0:
+                val[g] = 1
+                for p in parents[g]:
+                    heapq.heappush(queue, p)
     return tuple(val)
 
 
@@ -171,43 +182,48 @@ def _sweep(instance: WcnfInstance, val: Sequence[int], weight_of) -> set[str]:
     evaluation of its own events, with the root true.
 
     The circuit is monotone, so a gate false under ``val`` stays false
-    under every subset of its events.  The sweep keeps the true gates
-    above each true variable and a slack per true variable (1 for an
-    event or AND gate, the number of true children for an OR gate); a
-    trial drop walks only the variables whose slack reaches 0, and is
-    undone if the root is among them."""
-    var_of_event = instance.var_map.var_of_event
+    under every subset of its events.  Each true variable has a slack (1
+    for an event or AND gate, its true children for an OR gate); a trial
+    drop walks up the true variables whose slack reaches 0, and is undone
+    if the root is among them.  A first, top-down pass marks the critical
+    variables, whose fall alone fails the root: the root, each child of a
+    critical AND, the one true child of a critical OR.  Drops only make
+    gates false, so a critical event stays critical and its trial, which
+    would fail, is skipped: a chain of gates sweeps in linear time."""
+    var_of_event, parents = instance.var_map.var_of_event, instance.parents
     cut = {eid for eid, var in var_of_event.items() if val[var] > 0}
-    root = instance.var_map.root_var
-    slack = [1 if v > 0 else 0 for v in val]
-    up: dict[int, list[int]] = {}
-    for g, (is_and, kids) in enumerate(instance.circuit, len(var_of_event) + 1):
+    root, first_gate = instance.var_map.root_var, len(var_of_event) + 1
+    slack = [1 if x > 0 else 0 for x in val]
+    critical = {root}
+    for g in range(len(val) - 1, first_gate - 1, -1):
         if val[g] > 0:
+            is_and, kids = instance.circuit[g - first_gate]
             true_kids = [c for c in kids if val[c] > 0]
-            for c in true_kids:
-                up.setdefault(c, []).append(g)
             if not is_and:
                 slack[g] = len(true_kids)
-    for eid in sorted(cut, key=lambda e: (-weight_of(e), e)):
+            if g in critical and (is_and or len(true_kids) == 1):
+                critical.update(true_kids)
+    trials = [eid for eid in cut if var_of_event[eid] not in critical]
+    for eid in sorted(trials, key=lambda e: (-weight_of(e), e)):
         fell = [var_of_event[eid]]
         slack[fell[0]] = 0
         for v in fell:  # grows as gates turn false
-            for g in up.get(v, ()):
-                slack[g] -= 1
-                if slack[g] == 0:
-                    fell.append(g)
+            for g in parents[v]:
+                if val[g] > 0:
+                    slack[g] -= 1
+                    if slack[g] == 0:
+                        fell.append(g)
         if slack[root] > 0:
             cut.discard(eid)
         else:  # the root fell: undo the walk
             slack[fell[0]] = 1
-            for g in (g for v in fell for g in up.get(v, ())):
+            for g in (g for v in fell for g in parents[v] if val[g] > 0):
                 slack[g] += 1
     return cut
 
 
-def _residual_bound(
-    instance: WcnfInstance, val: Sequence[int], weight: Sequence[float]
-) -> list[float]:
+def _residual_bound(instance: WcnfInstance, val: Sequence[int],
+                    weight: Sequence[float]) -> list[float]:
     """Admissible lower bound, per variable, on the extra weight to make it true.
 
     Evaluates the circuit under the current assignment: a true event
@@ -225,12 +241,9 @@ def _residual_bound(
     bound = [0.0 if v > 0 else math.inf if v < 0 else w
              for v, w in zip(val[:first_gate], weight)]
     combine = math.fsum if instance.tree_shaped else max
+    get, append = bound.__getitem__, bound.append
     for g, (is_and, kids) in enumerate(instance.circuit, first_gate):
-        if val[g] < 0:
-            bound.append(math.inf)
-        else:
-            child_bounds = [bound[c] for c in kids]
-            bound.append(combine(child_bounds) if is_and else min(child_bounds))
+        append(math.inf if val[g] < 0 else (combine if is_and else min)(map(get, kids)))
     return bound
 
 
@@ -280,8 +293,7 @@ class _BoundTable:
                 new = 0.0
                 self.cost += bound[v]
             else:
-                child_bounds = [bound[c] for c in kids[v]]
-                new = combine(child_bounds) if ctl[v] < 0 else min(child_bounds)
+                new = (combine if ctl[v] < 0 else min)(map(bound.__getitem__, kids[v]))
             if bound[v] != new:
                 log.append((v, bound[v]))
                 bound[v] = new

@@ -16,7 +16,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .encoding import WcnfInstance, build_wcnf, event_weights, format_wcnf
+from .encoding import WcnfInstance, build_wcnf, format_wcnf
 from .fault_tree import FaultTree, FaultTreeError, parse_fault_tree, serialize_fault_tree
 from .generator import GeneratorParams, random_fault_tree
 from .oracle import MAX_ORACLE_EVENTS, oracle_mpmcs
@@ -55,14 +55,8 @@ def _load_tree(path: str) -> FaultTree:
     return parse_fault_tree(text)
 
 
-def _report(
-    tree: FaultTree,
-    instance: WcnfInstance,
-    result: Optional[MpmcsResult],
-    proven: bool,
-    solver_id: str,
-    elapsed: float,
-) -> dict:
+def _report(instance: WcnfInstance, result: Optional[MpmcsResult], proven: bool,
+            solver_id: str, elapsed: float) -> dict:
     num_vars, num_clauses = instance.hard_size
     return {
         "cut_set": sorted(result.cut_set) if result is not None else None,
@@ -72,8 +66,8 @@ def _report(
         "solver_id": solver_id,
         "elapsed_ms": elapsed * 1000.0,
         "stats": {
-            "events": len(tree.event_ids),
-            "gates": len(tree.gate_ids),
+            "events": len(instance.soft),
+            "gates": len(instance.circuit) - instance.blocking,
             "vars": num_vars,
             "hard_clauses": num_clauses,
         },
@@ -81,9 +75,9 @@ def _report(
 
 
 def _cmd_solve(args) -> int:
-    tree = _load_tree(args.file)
-    instance = build_wcnf(tree)
-    weights = event_weights(tree)
+    instance = build_wcnf(_load_tree(args.file))
+    # The soft weights are the events' -ln p, so no second walk of the tree.
+    weights = dict(zip(instance.var_map.var_of_event, [w for _, w in instance.soft]))
     configs = default_portfolio(time_budget=args.timeout)
     if args.strategy != "portfolio":
         configs = [c for c in configs if c.strategy.value == args.strategy]
@@ -99,7 +93,7 @@ def _cmd_solve(args) -> int:
             return EXIT_BUDGET
         first = optima[0]
         report = _report(
-            tree, instance, first, proven, first.solver_id,
+            instance, first, proven, first.solver_id,
             sum(r.elapsed for r in optima),
         )
         report["optima"] = [
@@ -118,7 +112,7 @@ def _cmd_solve(args) -> int:
     if solution.assignment is not None:
         result = extract_mpmcs(solution, instance, weights)
     report = _report(
-        tree, instance, result, solution.proven, solution.solver_id,
+        instance, result, solution.proven, solution.solver_id,
         solution.stats.elapsed,
     )
     print(json.dumps(report, indent=2))
@@ -162,9 +156,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_export_wcnf(args) -> int:
-    tree = _load_tree(args.file)
-    instance = build_wcnf(tree)
-    text = format_wcnf(instance)
+    text = format_wcnf(build_wcnf(_load_tree(args.file)))
     if args.output == "-":
         sys.stdout.write(text)
     else:

@@ -13,10 +13,10 @@ of variable ``v >= 1`` and ``-v`` its negation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
-from .fault_tree import BasicEvent, FaultTree, GateOp
+from .fault_tree import FaultTree, GateOp
 
 Clause = tuple[int, ...]
 # One (is_and, child variables) pair per gate, in gate-variable order.
@@ -64,6 +64,8 @@ class WcnfInstance:
     hard constraints are the circuit itself: the root is true and every
     blocking gate is false.  ``tree_shaped`` records that no variable is
     a child of two of the fault tree's gates, i.e. no node is shared.
+    ``parents``, derived on construction, lists per variable the gates
+    (blocking gates too) that have it as a child, in increasing order.
 
     ``soft`` holds one ``(event variable, weight)`` pair per basic event;
     the implied unit soft clause prefers the event variable false, so the
@@ -75,6 +77,15 @@ class WcnfInstance:
     circuit: Circuit
     tree_shaped: bool
     blocking: int = 0
+    parents: list[list[int]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        first_gate = len(self.soft) + 1
+        parents: list[list[int]] = [[] for _ in range(first_gate + len(self.circuit))]
+        for g, (_, kids) in enumerate(self.circuit, first_gate):
+            for c in kids:
+                parents[c].append(g)
+        object.__setattr__(self, "parents", parents)
 
     @property
     def hard(self) -> CnfFormula:
@@ -134,45 +145,36 @@ def event_weights(tree: FaultTree) -> WeightMap:
 def build_wcnf(tree: FaultTree) -> WcnfInstance:
     """Compile a fault tree into its weighted partial MaxSAT instance.
 
-    One pass over ``tree.order`` (children before parents) numbers the
-    nodes and builds the circuit.  Events take variables ``1..E`` in the
-    order the walk first meets them (a leaf finishes as soon as it is
-    met); gates take ``E+1..`` in the order it finishes them, one
-    variable per gate however often it is shared.  The hard constraint
-    is that the root is true; restricted to event variables, its models
-    are exactly the event sets that fail the top.  (The flipped
-    success-tree reading makes this the complement of the
-    all-events-held success condition, so no negated leaves are ever
-    needed.)  Soft clauses prefer each event false at cost ``-ln p``;
-    minimising the falsified weight therefore maximises the joint
-    probability of the events that do occur.
+    Variables follow ``tree.order`` (children before parents): events take
+    ``1..E`` in the order the validating walk first meets them, gates
+    ``E+1..`` in the order it finishes them, one variable per gate however
+    often it is shared.  The hard constraint is that the root is true;
+    restricted to event variables, its models are exactly the event sets
+    that fail the top.  (The flipped success-tree reading makes this the
+    complement of the all-events-held success condition, so no negated
+    leaves are ever needed.)  Soft clauses prefer each event false at cost
+    ``-ln p``; minimising the falsified weight therefore maximises the
+    joint probability of the events that do occur.
     """
-    num_events = len(tree.event_ids)
-    var_of: dict[str, int] = {}
-    soft: list[tuple[int, float]] = []
-    circuit: list[tuple[bool, tuple[int, ...]]] = []
-    for nid in tree.order:
-        node = tree.nodes[nid]
-        if isinstance(node, BasicEvent):
-            var = len(soft) + 1
-            soft.append((var, to_log_space(node.probability)))
-            var_of[nid] = var
-            continue
-        circuit.append((node.op is GateOp.AND, tuple(var_of[c] for c in node.children)))
-        var_of[nid] = num_events + len(circuit)
-
-    var_of_event = {nid: v for nid, v in var_of.items() if v <= num_events}
-    var_map = VarMap(
-        var_of_event=var_of_event,
-        event_of_var={v: e for e, v in var_of_event.items()},
-        root_var=var_of[tree.top],
-    )
-    children = [c for _, kids in circuit for c in kids]
+    order, nodes, num_events = tree.order, tree.nodes, tree.num_events
+    var_of = dict(zip(order, range(1, len(order) + 1)))
+    events = order[:num_events]
+    gates = list(map(nodes.__getitem__, order[num_events:]))
+    var_of_child, AND = var_of.__getitem__, GateOp.AND
+    kids = [tuple(map(var_of_child, gate.children)) for gate in gates]
     return WcnfInstance(
-        soft=tuple(soft),
-        var_map=var_map,
-        circuit=tuple(circuit),
-        tree_shaped=len(children) == len(set(children)),
+        # -ln p, as ``to_log_space``; validation keeps p inside (0, 1).
+        soft=tuple(zip(range(1, num_events + 1),
+                       [-math.log(nodes[e].probability) for e in events])),
+        var_map=VarMap(
+            var_of_event=dict(zip(events, var_of.values())),
+            event_of_var=dict(zip(var_of.values(), events)),
+            root_var=var_of[tree.top],
+        ),
+        circuit=tuple(zip([gate.op is AND for gate in gates], kids)),
+        # Every node but the top has a parent, one in a tree; children are
+        # distinct, so each shared node adds an edge.
+        tree_shaped=sum(map(len, kids)) == len(order) - 1,
     )
 
 

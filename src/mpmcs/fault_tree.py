@@ -15,9 +15,11 @@ nodes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Union
+from itertools import repeat
+from typing import Mapping, NamedTuple, Union
 
 
 class FaultTreeError(ValueError):
@@ -29,15 +31,13 @@ class GateOp(Enum):
     OR = "or"
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     id: str
     op: GateOp
     children: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class BasicEvent:
+class BasicEvent(NamedTuple):
     id: str
     probability: float
 
@@ -50,17 +50,22 @@ class FaultTree:
     """Validated fault tree.  Construction runs all structural checks.
 
     ``order`` lists every node id once, children before parents: the
-    order in which the validating depth-first walk from ``top`` finishes
-    them.  It is derived, so it takes no part in construction or equality.
+    ``num_events`` basic events in the order the validating depth-first
+    walk from ``top`` first meets them, then the gates in the order it
+    finishes them.  Both are derived, so they take no part in
+    construction or equality.
     """
 
     name: str
     nodes: Mapping[str, Node]
     top: str
     order: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    num_events: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "order", _validate(self))
+        events, gates = _validate(self)
+        object.__setattr__(self, "order", tuple(events + gates))
+        object.__setattr__(self, "num_events", len(events))
 
     @property
     def event_ids(self) -> list[str]:
@@ -71,72 +76,74 @@ class FaultTree:
         return [n.id for n in self.nodes.values() if isinstance(n, Gate)]
 
     def probabilities(self) -> dict[str, float]:
-        return {
-            n.id: n.probability
-            for n in self.nodes.values()
-            if isinstance(n, BasicEvent)
-        }
+        return {n.id: n.probability for n in self.nodes.values() if isinstance(n, BasicEvent)}
 
 
 # Event id -> truth value; ids absent from the mapping count as False.
 Assignment = Mapping[str, bool]
 
 
-def _validate(tree: FaultTree) -> tuple[str, ...]:
-    """Run the structural checks; return the node ids in DFS finish order."""
-    if not tree.nodes:
+def _validate(tree: FaultTree) -> tuple[list[str], list[str]]:
+    """Run the structural checks in one iterative (trees can be deep),
+    three-state depth-first walk from the top; return the events in the
+    order it first meets them and the gates in the order it finishes them.
+    Reaching a node still on the stack closes a cycle.  Each node is
+    checked when first met; a node never met is unreachable, an error."""
+    nodes = tree.nodes
+    if not nodes:
         raise FaultTreeError("tree has no nodes")
-    for nid, node in tree.nodes.items():
-        if nid != node.id:
-            raise FaultTreeError(f"node keyed {nid!r} carries id {node.id!r}")
-        if isinstance(node, BasicEvent):
-            p = node.probability
-            if not isinstance(p, float) or not (0.0 < p < 1.0):
-                raise FaultTreeError(
-                    f"basic event {nid!r}: probability {p!r} outside open interval (0, 1)"
-                )
-        else:
-            if not node.children:
-                raise FaultTreeError(f"gate {nid!r} has no children")
-            if len(set(node.children)) != len(node.children):
-                raise FaultTreeError(f"gate {nid!r} lists a duplicate child")
-            for child in node.children:
-                if child not in tree.nodes:
-                    raise FaultTreeError(
-                        f"gate {nid!r} references unknown child {child!r}"
-                    )
-    if tree.top not in tree.nodes:
+    if tree.top not in nodes:
         raise FaultTreeError(f"top {tree.top!r} is not a node")
-
-    # One iterative three-state DFS from the top (trees can be deep, so no
-    # recursion): reaching a node still on the stack closes a cycle, and
-    # the nodes it finishes are exactly those reachable from the top.
     GREY, BLACK = 1, 2
-    state = {tree.top: GREY}
-    order: list[str] = []
-    stack = [(tree.top, iter(getattr(tree.nodes[tree.top], "children", ())))]
+    state: dict = {}
+    events: list[str] = []
+    gates: list[str] = []
+    # The bottom frame stands above the top and is dropped at the end.
+    stack = [(None, iter((tree.top,)))]
     while stack:
         nid, children = stack[-1]
         for child in children:
             seen = state.get(child)
+            if seen is None:
+                node = nodes.get(child)
+                if node is None:
+                    raise FaultTreeError(f"gate {nid!r} references unknown child {child!r}")
+                if node.id != child:
+                    raise FaultTreeError(f"node keyed {child!r} carries id {node.id!r}")
+                if isinstance(node, BasicEvent):
+                    p = node.probability
+                    if not (isinstance(p, float) and 0.0 < p < 1.0):
+                        raise FaultTreeError(f"basic event {child!r}: probability "
+                                             f"{p!r} outside open interval (0, 1)")
+                    state[child] = BLACK
+                    events.append(child)
+                    continue
+                kids = node.children
+                if not kids:
+                    raise FaultTreeError(f"gate {child!r} has no children")
+                if len(set(kids)) != len(kids):
+                    raise FaultTreeError(f"gate {child!r} lists a duplicate child")
+                state[child] = GREY
+                stack.append((child, iter(kids)))
+                break
             if seen == GREY:
                 raise FaultTreeError(f"cycle through node {child!r}")
-            if seen is None:
-                state[child] = GREY
-                stack.append((child, iter(getattr(tree.nodes[child], "children", ()))))
-                break
         else:
             state[nid] = BLACK
-            order.append(nid)
+            gates.append(nid)
             stack.pop()
-    if len(state) < len(tree.nodes):
-        shown = sorted(set(tree.nodes) - set(state))[0]
+    gates.pop()
+    if len(events) + len(gates) < len(nodes):
+        shown = sorted(set(nodes) - set(state))[0]
         raise FaultTreeError(f"node {shown!r} is not reachable from top {tree.top!r}")
-    return tuple(order)
+    return events, gates
 
 
 _GATE_KEYS = {"id", "type", "children"}
 _EVENT_KEYS = {"id", "type", "prob"}
+_OPS = {op.value: op for op in GateOp}
+# A NamedTuple's own constructor without its Python-level ``__new__``.
+_new = tuple.__new__
 
 
 def parse_fault_tree(text: str) -> FaultTree:
@@ -169,39 +176,32 @@ def parse_fault_tree(text: str) -> FaultTree:
     for raw in raw_nodes:
         if not isinstance(raw, dict):
             raise FaultTreeError("each node must be an object")
-        kind = raw.get("type")
-        if kind in ("and", "or"):
-            extra = set(raw) - _GATE_KEYS
-            if extra:
-                raise FaultTreeError(
-                    f"gate {raw.get('id')!r}: unknown field {sorted(extra)[0]!r}"
-                )
-            nid, children = raw.get("id"), raw.get("children")
-            if not isinstance(nid, str):
-                raise FaultTreeError("gate id must be a string")
-            if not isinstance(children, list) or not all(
-                isinstance(c, str) for c in children
-            ):
-                raise FaultTreeError(f"gate {nid!r}: 'children' must be string ids")
-            node: Node = Gate(nid, GateOp(kind), tuple(children))
-        elif kind == "basic":
-            extra = set(raw) - _EVENT_KEYS
-            if extra:
-                raise FaultTreeError(
-                    f"event {raw.get('id')!r}: unknown field {sorted(extra)[0]!r}"
-                )
-            nid, prob = raw.get("id"), raw.get("prob")
-            if not isinstance(nid, str):
-                raise FaultTreeError("event id must be a string")
+        nid, kind = raw.get("id"), raw.get("type")
+        if not isinstance(nid, str):
+            raise FaultTreeError("node id must be a string")
+        if kind == "basic":
+            prob = raw.get("prob")
             if isinstance(prob, bool) or not isinstance(prob, (int, float)):
                 raise FaultTreeError(f"event {nid!r}: 'prob' must be a number")
-            node = BasicEvent(nid, float(prob))
+            try:
+                node: Node = _new(BasicEvent, (nid, float(prob)))
+            except OverflowError:  # an integer beyond the float range
+                raise FaultTreeError(f"event {nid!r}: probability out of range") from None
         else:
-            raise FaultTreeError(f"node {raw.get('id')!r}: unknown type {kind!r}")
-        if node.id in nodes:
-            raise FaultTreeError(f"duplicate node id {node.id!r}")
-        nodes[node.id] = node
-
+            op = _OPS.get(kind) if isinstance(kind, str) else None
+            if op is None:
+                raise FaultTreeError(f"node {nid!r}: unknown type {kind!r}")
+            children = raw.get("children")
+            if not isinstance(children, list) or not all(map(isinstance, children, repeat(str))):
+                raise FaultTreeError(f"gate {nid!r}: 'children' must be string ids")
+            node = _new(Gate, (nid, op, tuple(children)))
+        if len(raw) != 3:  # the required fields are there, so one is unknown
+            extra = sorted(set(raw) - (_EVENT_KEYS if kind == "basic" else _GATE_KEYS))[0]
+            raise FaultTreeError(f"node {nid!r}: unknown field {extra!r}")
+        nodes[nid] = node
+    if len(nodes) < len(raw_nodes):
+        dup = next(i for i, k in Counter(r["id"] for r in raw_nodes).items() if k > 1)
+        raise FaultTreeError(f"duplicate node id {dup!r}")
     return FaultTree(name=name, nodes=nodes, top=top)
 
 
@@ -228,7 +228,7 @@ def dualize(tree: FaultTree) -> FaultTree:
     """
     swapped = {GateOp.AND: GateOp.OR, GateOp.OR: GateOp.AND}
     nodes = {
-        nid: replace(node, op=swapped[node.op]) if isinstance(node, Gate) else node
+        nid: node._replace(op=swapped[node.op]) if isinstance(node, Gate) else node
         for nid, node in tree.nodes.items()
     }
     return FaultTree(name=tree.name, nodes=nodes, top=tree.top)

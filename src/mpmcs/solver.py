@@ -185,7 +185,7 @@ class _Root:
     prop: Propagator  # root and blocking gates asserted and propagated
     bound: list[float]  # the root ``_residual_bound`` table
     warm: Optional[tuple[int, ...]]  # the warm start, unless blocked
-    events: list[int]  # event variables in event-id order
+    warm_w: float  # its weight, or inf
     start: float
     lb: float = 0.0  # the core pass's bound, when it ran
     rbound: Optional[list[float]] = None  # the root table over its residuals
@@ -207,21 +207,21 @@ def _root(instance: WcnfInstance, time_budget: float = math.inf) -> _Root:
     walked = complete_assignment(instance, _cheapest_events(instance, bound))
     # Blocking gates over several events can rule the walked set out.
     warm = walked if _meets_hard(instance, walked) else None
-    events = [var for _, var in sorted(instance.var_map.var_of_event.items())]
     warm_w = math.inf if warm is None else _exact_weight(warm, instance)
     target = warm_w - _prune_slack(warm_w)
     if instance.tree_shaped or prop.cost + bound[instance.var_map.root_var] >= target:
-        return _Root(instance, prop, bound, warm, events, start)
+        return _Root(instance, prop, bound, warm, warm_w, start)
     lb, residual, zero = _cores(instance, prop, target, start + time_budget)
     if zero is not None:
         var_of = instance.var_map.var_of_event
         cut = _sweep(instance, complete_assignment(instance, zero),
                      lambda e: prop.weight[var_of[e]])
         swept = complete_assignment(instance, cut)
-        if _meets_hard(instance, swept) and _exact_weight(swept, instance) < warm_w:
-            warm = swept
+        swept_w = _exact_weight(swept, instance)
+        if _meets_hard(instance, swept) and swept_w < warm_w:
+            warm, warm_w = swept, swept_w
     rbound = _residual_bound(instance, prop.val, residual)
-    return _Root(instance, prop, bound, warm, events, start, lb, rbound)
+    return _Root(instance, prop, bound, warm, warm_w, start, lb, rbound)
 
 
 def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event],
@@ -254,14 +254,11 @@ def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event]
     prop = root.prop.fork()
     tables = [_BoundTable(instance, b) for b in (root.bound, root.rbound) if b is not None]
     bound, rtable = tables[0].bound, tables[-1]
-    # Branching order; the sort is stable, so equal weights keep event-id order.
-    order = sorted(root.events, key=prop.weight.__getitem__,
-                   reverse=config.var_order is VarOrder.DESCENDING_WEIGHT)
+    order: list[int] = []  # the branching order, sorted at the first branch
     top = instance.var_map.root_var
     decisions = 0
 
-    incumbent = root.warm
-    incumbent_w = math.inf if incumbent is None else _exact_weight(incumbent, instance)
+    incumbent, incumbent_w = root.warm, root.warm_w
     node: Optional[tuple] = None
     path: list[tuple] = []  # the nodes on the trail, one per decision level
     frontier: list = []
@@ -273,6 +270,11 @@ def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event]
         if clean and root.rbound is not None:
             lower = max(lower, root.lb + rtable.cost + rtable.bound[top])
         if lower < incumbent_w - _prune_slack(incumbent_w):
+            if not order:  # stable, so equal weights keep event-id order
+                var_of = instance.var_map.var_of_event
+                order = sorted(map(var_of.__getitem__, sorted(var_of)),
+                               key=prop.weight.__getitem__,
+                               reverse=config.var_order is VarOrder.DESCENDING_WEIGHT)
             # Every event before this node's was set when it decided.
             pos = node[2] + 1 if node else 0
             while pos < len(order) and prop.val[order[pos]] != 0:
@@ -359,10 +361,7 @@ def solve_best_first(instance: WcnfInstance, config: SolverConfig,
 # Portfolio
 
 
-def solve_portfolio(
-    instance: WcnfInstance,
-    configs: Sequence[SolverConfig],
-) -> Solution:
+def solve_portfolio(instance: WcnfInstance, configs: Sequence[SolverConfig]) -> Solution:
     """Run all configurations concurrently; first proven result wins.
 
     The root is set up once, before any worker starts, and every worker
@@ -427,9 +426,8 @@ def solve_portfolio(
 # Result extraction
 
 
-def extract_mpmcs(
-    solution: Solution, instance: WcnfInstance, weights: WeightMap
-) -> MpmcsResult:
+def extract_mpmcs(solution: Solution, instance: WcnfInstance,
+                  weights: WeightMap) -> MpmcsResult:
     """Read the cut set off a solution and certify it.
 
     The set-minimality sweep tries to drop members heaviest-first.  It
@@ -476,10 +474,8 @@ def add_blocking_clause(instance: WcnfInstance, events: frozenset[str]) -> WcnfI
     )
 
 
-def compute_mpmcs(
-    tree: FaultTree,
-    configs: Optional[Sequence[SolverConfig]] = None,
-) -> MpmcsResult:
+def compute_mpmcs(tree: FaultTree,
+                  configs: Optional[Sequence[SolverConfig]] = None) -> MpmcsResult:
     """Encode ``tree``, run the portfolio, and extract the certified result.
 
     Raises ``TimeoutError`` if no configuration proved optimality within
@@ -497,11 +493,8 @@ def compute_mpmcs(
     return extract_mpmcs(solution, instance, weights)
 
 
-def enumerate_optima(
-    instance: WcnfInstance,
-    weights: WeightMap,
-    configs: Sequence[SolverConfig],
-) -> list[MpmcsResult]:
+def enumerate_optima(instance: WcnfInstance, weights: WeightMap,
+                     configs: Sequence[SolverConfig]) -> list[MpmcsResult]:
     """All cut sets tied (within ``TIE_REL_TOL``) for the optimal weight.
 
     Each optimum found is blocked with a blocking gate and the instance is

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from mpmcs.encoding import CnfFormula, VarMap
+from mpmcs.encoding import CnfFormula, VarMap, WcnfInstance, to_log_space
 from mpmcs.fault_tree import BasicEvent, FaultTree, Gate, GateOp, evaluate
 from mpmcs.generator import GeneratorParams, random_fault_tree
 
@@ -63,6 +63,66 @@ def seeded_dag(nodes: int, share: float, seed: int) -> FaultTree:
         for nid, node in base.nodes.items()
     }
     return FaultTree(name="dag", nodes=nodes_out, top=base.top)
+
+
+def reference_build_wcnf(t: FaultTree) -> WcnfInstance:
+    """``build_wcnf`` as a node-by-node loop over a depth-first walk of its
+    own, independent of ``FaultTree.order``.
+
+    The walk finishes a leaf as soon as it meets it; events take
+    variables in the order they finish, gates after all events in the
+    order they finish.
+    """
+    finished: list[str] = []
+    seen = {t.top}
+    stack = [(t.top, iter(getattr(t.nodes[t.top], "children", ())))]
+    while stack:
+        nid, children = stack[-1]
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, iter(getattr(t.nodes[child], "children", ()))))
+                break
+        else:
+            finished.append(nid)
+            stack.pop()
+    num_events = len(t.event_ids)
+    var_of: dict[str, int] = {}
+    soft: list[tuple[int, float]] = []
+    circuit: list[tuple[bool, tuple[int, ...]]] = []
+    for nid in finished:
+        node = t.nodes[nid]
+        if isinstance(node, BasicEvent):
+            var = len(soft) + 1
+            soft.append((var, to_log_space(node.probability)))
+            var_of[nid] = var
+            continue
+        circuit.append((node.op is GateOp.AND, tuple(var_of[c] for c in node.children)))
+        var_of[nid] = num_events + len(circuit)
+    var_of_event = {nid: v for nid, v in var_of.items() if v <= num_events}
+    children = [c for _, kids in circuit for c in kids]
+    return WcnfInstance(
+        soft=tuple(soft),
+        var_map=VarMap(
+            var_of_event=var_of_event,
+            event_of_var={v: e for e, v in var_of_event.items()},
+            root_var=var_of[t.top],
+        ),
+        circuit=tuple(circuit),
+        tree_shaped=len(children) == len(set(children)),
+    )
+
+
+def reference_complete_assignment(instance: WcnfInstance, true_events) -> tuple[int, ...]:
+    """``complete_assignment`` as one forward pass over every gate."""
+    var_of_event = instance.var_map.var_of_event
+    val = [-1] * (len(var_of_event) + len(instance.circuit) + 1)
+    val[0] = 0
+    for eid in true_events:
+        val[var_of_event[eid]] = 1
+    for g, (is_and, kids) in enumerate(instance.circuit, len(var_of_event) + 1):
+        val[g] = 1 if (all if is_and else any)(val[c] > 0 for c in kids) else -1
+    return tuple(val)
 
 
 def satisfying_event_sets(t: FaultTree) -> set[frozenset[str]]:

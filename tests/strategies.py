@@ -56,3 +56,33 @@ def fault_trees(draw, max_events: int = 8, shared: bool = False) -> FaultTree:
         nodes[gid] = Gate(gid, op, tuple(children))
     return FaultTree(name="hypo", nodes=nodes, top=open_ids[0])
 
+
+@st.composite
+def and_of_ors(draw, max_events: int = 6) -> FaultTree:
+    """An AND over two to four OR gates of two or three events each, drawn
+    from three to ``max_events`` events, so that the ORs share events.
+
+    Under sharing the root bound table takes the max at an AND, not the
+    sum, so it leaves most of these roots open and the core pass runs;
+    on ``fault_trees(shared=True)`` it rarely does.
+    """
+    n_events = draw(st.integers(min_value=3, max_value=max_events))
+    event_ids = [f"e{i}" for i in range(1, n_events + 1)]
+    nodes: dict = {eid: BasicEvent(eid, draw(probabilities)) for eid in event_ids}
+    n_ors = draw(st.integers(min_value=2, max_value=4))
+    kids = [
+        draw(st.lists(st.sampled_from(event_ids), min_size=2, max_size=3, unique=True))
+        for _ in range(n_ors)
+    ]
+    for eid in event_ids:  # every event reachable
+        if not any(eid in k for k in kids):
+            kids[draw(st.integers(min_value=0, max_value=n_ors - 1))].append(eid)
+    for i, k in enumerate(kids):
+        nodes[f"o{i}"] = Gate(f"o{i}", GateOp.OR, tuple(k))
+    nodes["top"] = Gate("top", GateOp.AND, tuple(f"o{i}" for i in range(n_ors)))
+    return FaultTree(name="hypo", nodes=nodes, top="top")
+
+
+def dags(max_events: int = 8):
+    """Shared-node trees: ``fault_trees(shared=True)`` or ``and_of_ors``."""
+    return st.one_of(fault_trees(max_events, shared=True), and_of_ors(max_events))

@@ -127,6 +127,17 @@ def test_solve_invalid_tree(capsys, tmp_path):
     assert "probability" in err
 
 
+def test_solve_rejects_a_probability_too_large_for_a_float(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"name": "b", "top": "a", "nodes": '
+                    f'[{{"id": "a", "type": "basic", "prob": {"9" * 400}}}]}}')
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "probability" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["solve"])

@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
-from helpers import all_models, project_models, satisfying_event_sets, seeded_dag, tree
+from helpers import (
+    all_models,
+    project_models,
+    reference_build_wcnf,
+    satisfying_event_sets,
+    seeded_dag,
+    tree,
+)
 from mpmcs.encoding import (
     WCNF_WEIGHT_SCALE,
     CnfFormula,
@@ -21,7 +28,8 @@ from mpmcs.encoding import (
     joint_probability,
     to_log_space,
 )
-from mpmcs.fault_tree import Gate, parse_fault_tree
+from mpmcs.fault_tree import Gate, parse_fault_tree, serialize_fault_tree
+from mpmcs.generator import GeneratorParams, random_fault_tree
 from mpmcs.solver import add_blocking_clause
 
 FIRE_PATH = Path(__file__).resolve().parent.parent / "data" / "fire_protection.json"
@@ -173,6 +181,20 @@ def test_one_walk_orders_nodes_and_numbers_variables(t):
         assert all(c < g for c in kids)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(strategies.fault_trees(), strategies.dags()))
+def test_build_wcnf_equals_the_reference_compile(t):
+    """The one-pass compile gives the node-by-node loop's instance: the
+    same circuit, weights, numbering (in order) and sharing flag."""
+    got, want = build_wcnf(t), reference_build_wcnf(t)
+    assert got.circuit == want.circuit
+    assert got.soft == want.soft
+    assert list(got.var_map.var_of_event.items()) == list(want.var_map.var_of_event.items())
+    assert list(got.var_map.event_of_var.items()) == list(want.var_map.event_of_var.items())
+    assert got.var_map.root_var == want.var_map.root_var
+    assert got.tree_shaped == want.tree_shaped
+
+
 def test_fire_circuit_numbering(fire_instance):
     """Gates numbered in DFS finish order; frozen regression."""
     assert fire_instance.circuit == (
@@ -251,13 +273,18 @@ def test_hard_size_counts_the_derived_cnf(make):
          "c20c1ff846f2f7a9d3d114f90e44928f02b62f6b9869bf65b1e0412196a176ae"),
         (_blocked_dag,
          "b2f41605085044164317a7271dee245883ca241f88b05cb0e1d4eb82d1721a7a"),
+        # ``mpmcs generate --nodes 20000 --seed 1``, then ``export-wcnf``.
+        (lambda: build_wcnf(parse_fault_tree(serialize_fault_tree(
+            random_fault_tree(GeneratorParams(nodes=20000, seed=1))))),
+         "7ce0ae3c766751752ccfbee2ef80cb5b02fc14e49df247b412325e9b58388683"),
     ],
-    ids=["fire", "dag-200-1", "dag-300-3-blocked"],
+    ids=["fire", "dag-200-1", "dag-300-3-blocked", "tree-20000-1"],
 )
 def test_format_wcnf_bytes_are_pinned(make, digest):
-    """The digests were taken while ``build_wcnf`` still emitted the
-    clauses and the solver propagated on them; deriving the clauses from
-    the circuit for export must not move a byte."""
+    """The first three digests were taken while ``build_wcnf`` still
+    emitted the clauses and the solver propagated on them, the last
+    while it compiled node by node: deriving the clauses from the
+    circuit, and compiling in one pass, must not move a byte."""
     assert hashlib.sha256(format_wcnf(make()).encode()).hexdigest() == digest
 
 

@@ -89,6 +89,17 @@ def test_parse_fire_file(fire_path, fire_tree):
     assert parsed == fire_tree
 
 
+_B = '{"id": "b", "type": "basic", "prob": 0.1}'
+
+
+def _nodes(*nodes: str, top: str = "a") -> str:
+    return f'{{"name": "t", "top": "{top}", "nodes": [{", ".join(nodes)}]}}'
+
+
+def _one_event(prob: str) -> str:
+    return _nodes(f'{{"id": "a", "type": "basic", "prob": {prob}}}')
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -105,11 +116,33 @@ def test_parse_fire_file(fire_path, fire_tree):
         '{"name": "t", "top": "a", "nodes": [{"id": "a", "type": "basic", "prob": true}]}',
         '{"name": "t", "top": "a", "nodes": [{"id": 5, "type": "basic", "prob": 0.1}]}',
         '{"name": "t", "top": "a", "nodes": [{"id": "a", "type": "basic", "prob": 0.1}, {"id": "a", "type": "basic", "prob": 0.2}]}',
+        # The structural checks above, and the CLI's, through the parser.
+        *(_one_event(p) for p in ("0", "0.0", "1.0", "-0.1", "1.5", "1e400", "NaN")),
+        _nodes('{"id": "a", "type": "or", "children": []}'),
+        _nodes('{"id": "a", "type": "and", "children": ["b", "b"]}', _B),
+        _nodes('{"id": "a", "type": "or", "children": ["missing"]}', _B),
+        _nodes('{"id": "a", "type": "or", "children": [1]}', _B),
+        _nodes('{"id": "a", "type": "or", "children": [["b"]]}', _B),
+        _nodes('{"id": "a", "type": ["or"], "children": ["b"]}', _B),
+        _nodes('{"id": 5, "type": "or", "children": ["b"]}', _B),
+        _nodes('{"id": "a", "type": "or", "children": "b"}', _B),
+        _nodes(_B, top="nope"),
+        _nodes('{"id": "a", "type": "or", "children": ["g"]}',
+               '{"id": "g", "type": "and", "children": ["a", "b"]}', _B),
+        _nodes('{"id": "a", "type": "or", "children": ["b"]}', _B,
+               '{"id": "c", "type": "basic", "prob": 0.2}'),
+        '{"name": "t", "top": "a", "nodes": []}',
+        '{"name": "t", "top": 1, "nodes": []}',
     ],
 )
 def test_parse_rejects_malformed_documents(text):
     with pytest.raises(FaultTreeError):
         parse_fault_tree(text)
+
+
+def test_parse_rejects_a_probability_too_large_for_a_float():
+    with pytest.raises(FaultTreeError, match="probability"):
+        parse_fault_tree(_one_event("9" * 400))
 
 
 def test_serialize_preserves_node_order(fire_tree):

@@ -12,12 +12,13 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import strategies
 from helpers import (
     is_minimal_cut,
+    reference_complete_assignment,
     satisfying_event_sets,
     seeded_dag,
     small_random_tree,
@@ -235,7 +236,7 @@ def test_strategies_match_oracle(t):
 
 
 @settings(max_examples=40, deadline=None)
-@given(strategies.fault_trees(max_events=6, shared=True), st.data())
+@given(strategies.dags(max_events=6), st.data())
 def test_strategies_match_oracle_on_dags(t, data):
     """Also with a blocking clause over at least two events, which the
     core pass's bound and second warm start must respect."""
@@ -244,6 +245,24 @@ def test_strategies_match_oracle_on_dags(t, data):
     if len(events) > 1:
         blocked = data.draw(st.sets(st.sampled_from(events), min_size=2))
         _assert_strategies_match_oracle(t, frozenset(blocked))
+
+
+def test_dag_strategy_reaches_the_core_pass(monkeypatch):
+    """The core pass runs at the root of at least a quarter of the DAGs
+    the oracle fuzz draws; ``fault_trees(shared=True)`` alone reached it
+    in 5 of the same 200 draws."""
+    real, ran, drawn = solver._cores, [], []
+    monkeypatch.setattr(solver, "_cores", lambda *a: ran.append(1) or real(*a))
+
+    @settings(max_examples=200, derandomize=True, database=None,
+              phases=[Phase.generate], deadline=None)
+    @given(strategies.dags(max_events=6))
+    def draw(t):
+        drawn.append(1)
+        solver._root(build_wcnf(t))
+
+    draw()
+    assert len(ran) >= len(drawn) / 4, (len(ran), len(drawn))
 
 
 def _assert_strategies_match_oracle(t, blocked=None):
@@ -672,7 +691,7 @@ def _walk_bound_table(instance, t, blocked=frozenset()) -> None:
 def test_bound_table_matches_full_pass(shared, data):
     """Also with a blocking clause over several events, which makes a
     tree-shaped (sum at AND) instance search."""
-    t = data.draw(strategies.fault_trees(shared=shared))
+    t = data.draw(strategies.dags() if shared else strategies.fault_trees())
     instance = build_wcnf(t)
     _walk_bound_table(instance, t)
     events = sorted(t.event_ids)
@@ -995,6 +1014,21 @@ def test_extract_matches_greedy_sweep(t, data):
     assert extract_mpmcs(sol, instance, weights).cut_set == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(strategies.fault_trees(), strategies.dags()), st.data())
+def test_complete_assignment_equals_a_full_pass(t, data):
+    """Evaluating only the gates above true events gives every gate the
+    value a pass over all of them gives, blocking gates included."""
+    events = sorted(t.event_ids)
+    instance = build_wcnf(t)
+    if len(events) > 1 and data.draw(st.booleans()):
+        blocked = data.draw(st.sets(st.sampled_from(events), min_size=1))
+        instance = add_blocking_clause(instance, frozenset(blocked))
+    chosen = data.draw(st.sets(st.sampled_from(events)))
+    assert complete_assignment(instance, chosen) == reference_complete_assignment(
+        instance, chosen)
+
+
 def test_extract_rejects_non_model(fire_instance, fire_weights):
     vals = tuple([0] + [-1] * fire_instance.hard.num_vars)
     sol = Solution(
@@ -1112,6 +1146,37 @@ def test_compute_mpmcs_on_a_chain_of_100k_gates():
         below = f"g{i}"
     res = compute_mpmcs(FaultTree(name="chain", nodes=nodes, top=below))
     assert res.cut_set == frozenset({"e100000"})  # the top is an OR
+
+
+def _chain(gates: int, alternate: bool) -> FaultTree:
+    """Gates each over the gate below and one event: AND gates over events
+    of probability 0.99 and, with ``alternate``, every second gate an OR
+    over an event of probability 1e-300, so the optimum runs down the
+    whole chain."""
+    nodes = {"e0": BasicEvent("e0", 0.99)}
+    below = "e0"
+    for i in range(1, gates + 1):
+        is_or = alternate and i % 2 == 0
+        nodes[f"e{i}"] = BasicEvent(f"e{i}", 1e-300 if is_or else 0.99)
+        nodes[f"g{i}"] = Gate(f"g{i}", GateOp.OR if is_or else GateOp.AND,
+                              (below, f"e{i}"))
+        below = f"g{i}"
+    return FaultTree(name="chain", nodes=nodes, top=below)
+
+
+@pytest.mark.parametrize("alternate", [False, True], ids=["and", "and-or"])
+def test_extract_is_linear_on_a_chain_of_20k_gates(alternate):
+    """Every member of the cut is critical, so the sweep tries none: a
+    sweep that tried each one walked to the root and back, 11.9 s CPU on
+    an AND chain of 8,000 gates."""
+    t = _chain(20_000, alternate)
+    instance = build_wcnf(t)
+    sol = solve_branch_and_bound(instance, SolverConfig())
+    start = time.process_time()
+    res = extract_mpmcs(sol, instance, event_weights(t))
+    assert time.process_time() - start < 2.0
+    step = 2 if alternate else 1
+    assert res.cut_set == {"e0"} | {f"e{i}" for i in range(1, 20_001, step)}
 
 
 def test_compute_mpmcs_timeout():
