@@ -1,7 +1,7 @@
 """Reasoning over the compiled circuit: unit propagation on its gates,
 evaluation, the set-minimality sweep, and the search's lower bounds (the
-bound tables and the core pass).  Every solve-time walk of
-``WcnfInstance.circuit`` is here."""
+bound tables and the core pass).  Every solve-time walk of the gate
+table ``WcnfInstance.ctl``/``kids`` is here."""
 
 from __future__ import annotations
 
@@ -22,32 +22,24 @@ class Propagator:
     holds ``-c``, so does the gate; a gate with ``-c`` gives it to every
     child; a gate with ``c`` whose children all hold ``-c`` but one open
     child forces that child to ``c``: unit propagation on each gate's
-    Tseitin clauses.  Per variable ``v``: ``ctl[v]`` is its controlling
-    value as a gate (-1 AND, 1 OR, 0 for an event), ``kids[v]`` its
-    children, ``parents[v]`` the gates with child ``v``, ``_other[v]``
-    its children holding ``-c``.  ``assert_units`` asserts the root true
-    and every blocking gate false.  The running ``cost``, the weight of
-    the events assigned true, serves pruning only, never reported totals.
+    Tseitin clauses.  ``ctl``, ``kids``, ``parents`` and ``weight`` are
+    the instance's own tables (``ctl[v]`` is a gate's ``c``: -1 AND, 1
+    OR); ``_other[v]`` counts the children of ``v`` holding ``-c``.
+    ``assert_units`` asserts the root true and every blocking gate false.
+    The running ``cost``, the weight of the events assigned true, serves
+    pruning only, never reported totals.
     """
 
-    __slots__ = ("val", "weight", "ctl", "kids", "parents", "_other", "_units",
-                 "trail", "level_starts", "qhead", "cost", "propagations")
+    __slots__ = ("val", "weight", "ctl", "kids", "parents", "_other", "_root",
+                 "_blocking", "trail", "level_starts", "qhead", "cost", "propagations")
 
     def __init__(self, instance: WcnfInstance):
-        first_gate = len(instance.var_map.var_of_event) + 1
-        n = first_gate + len(instance.circuit)
+        self.ctl, self.kids = instance.ctl, instance.kids
+        self.parents, self.weight = instance.parents, instance.weight
+        n = len(self.ctl)
         self.val = [0] * n
-        self.weight = [0.0] * n
-        for v, w in instance.soft:
-            self.weight[v] = w
-        self.ctl = [0] * first_gate + [-1 if a else 1 for a, _ in instance.circuit]
-        self.kids = [()] * first_gate + [kids for _, kids in instance.circuit]
-        self.parents = instance.parents
         self._other = [0] * n
-        self._units = [instance.var_map.root_var]
-        for g in range(n - instance.blocking, n):
-            # One event's blocking gate is a unit clause: assert the event.
-            self._units += [-g, -self.kids[g][0]] if len(self.kids[g]) == 1 else [-g]
+        self._root, self._blocking = instance.var_map.root_var, instance.blocking
         self.trail: list[int] = []
         self.level_starts: list[int] = []
         self.qhead = 0
@@ -55,7 +47,7 @@ class Propagator:
         self.propagations = 0
 
     def fork(self) -> "Propagator":
-        """A copy that shares the circuit's read-only arrays and owns its
+        """A copy that shares the instance's tables and owns its
         assignment, so forks search independently of each other."""
         twin = copy.copy(self)
         twin.val, twin._other = self.val[:], self._other[:]
@@ -86,8 +78,12 @@ class Propagator:
 
     def assert_units(self) -> bool:
         """Assert the root and the blocking gates; False on conflict."""
-        units = all(self._set(abs(u), 1 if u > 0 else -1) for u in self._units)
-        return units and self.propagate()
+        n, kids, units = len(self.val), self.kids, [self._root]
+        for g in range(n - self._blocking, n):
+            # One event's blocking gate is a unit clause: assert the event.
+            units += [-g, -kids[g][0]] if len(kids[g]) == 1 else [-g]
+        ok = all(self._set(abs(u), 1 if u > 0 else -1) for u in units)
+        return ok and self.propagate()
 
     def decide(self, var: int, value: bool) -> None:
         self.level_starts.append(len(self.trail))
@@ -146,8 +142,8 @@ def complete_assignment(instance: WcnfInstance, true_events: Iterable[str]) -> t
     Only a gate above a true variable can be true, so only those are
     evaluated, in increasing order (children first); the rest are false."""
     var_of_event, parents = instance.var_map.var_of_event, instance.parents
-    first_gate = len(var_of_event) + 1
-    val = [-1] * (first_gate + len(instance.circuit))
+    ctl, kids = instance.ctl, instance.kids
+    val = [-1] * len(ctl)
     val[0] = 0
     queue: list[int] = []
     for eid in true_events:
@@ -161,8 +157,7 @@ def complete_assignment(instance: WcnfInstance, true_events: Iterable[str]) -> t
         g = heapq.heappop(queue)
         if g != last:  # a gate is queued once per true child
             last = g
-            is_and, kids = instance.circuit[g - first_gate]
-            if (min if is_and else max)(map(get, kids)) > 0:
+            if (min if ctl[g] < 0 else max)(map(get, kids[g])) > 0:
                 val[g] = 1
                 for p in parents[g]:
                     heapq.heappush(queue, p)
@@ -191,17 +186,17 @@ def _sweep(instance: WcnfInstance, val: Sequence[int], weight_of) -> set[str]:
     gates false, so a critical event stays critical and its trial, which
     would fail, is skipped: a chain of gates sweeps in linear time."""
     var_of_event, parents = instance.var_map.var_of_event, instance.parents
+    ctl, kids = instance.ctl, instance.kids
     cut = {eid for eid, var in var_of_event.items() if val[var] > 0}
-    root, first_gate = instance.var_map.root_var, len(var_of_event) + 1
+    root = instance.var_map.root_var
     slack = [1 if x > 0 else 0 for x in val]
     critical = {root}
-    for g in range(len(val) - 1, first_gate - 1, -1):
-        if val[g] > 0:
-            is_and, kids = instance.circuit[g - first_gate]
-            true_kids = [c for c in kids if val[c] > 0]
-            if not is_and:
+    for g in range(len(val) - 1, 0, -1):
+        if val[g] > 0 and ctl[g]:
+            true_kids = [c for c in kids[g] if val[c] > 0]
+            if ctl[g] > 0:
                 slack[g] = len(true_kids)
-            if g in critical and (is_and or len(true_kids) == 1):
+            if g in critical and (ctl[g] < 0 or len(true_kids) == 1):
                 critical.update(true_kids)
     trials = [eid for eid in cut if var_of_event[eid] not in critical]
     for eid in sorted(trials, key=lambda e: (-weight_of(e), e)):
@@ -237,13 +232,12 @@ def _residual_bound(instance: WcnfInstance, val: Sequence[int],
     A solve runs this full pass only in ``_root``, once per table; each
     search's ``_BoundTable`` keeps its copy current, bit for bit.
     """
-    first_gate = len(instance.var_map.var_of_event) + 1
-    bound = [0.0 if v > 0 else math.inf if v < 0 else w
-             for v, w in zip(val[:first_gate], weight)]
+    bound = [0.0 if x > 0 else math.inf if x < 0 else w for x, w in zip(val, weight)]
     combine = math.fsum if instance.tree_shaped else max
-    get, append = bound.__getitem__, bound.append
-    for g, (is_and, kids) in enumerate(instance.circuit, first_gate):
-        append(math.inf if val[g] < 0 else (combine if is_and else min)(map(get, kids)))
+    get, kids = bound.__getitem__, instance.kids
+    for g, c in enumerate(instance.ctl):
+        if c and val[g] >= 0:
+            bound[g] = (combine if c < 0 else min)(map(get, kids[g]))
     return bound
 
 
@@ -318,17 +312,15 @@ def _cheapest_events(instance: WcnfInstance, bound: Sequence[float]) -> list[str
     """Events reached from the root through every AND child and, at each
     OR, the child with the least ``bound``: an optimal completion on a
     tree, a feasible guess under sharing."""
-    event_of_var = instance.var_map.event_of_var
-    first_gate = len(event_of_var) + 1
+    ctl, kids = instance.ctl, instance.kids
     seen: set[int] = set()
     walk = [instance.var_map.root_var]
     while walk:
         v = walk.pop()
-        if v >= first_gate and v not in seen:
-            is_and, kids = instance.circuit[v - first_gate]
-            walk.extend(kids if is_and else (min(kids, key=bound.__getitem__),))
+        if ctl[v] and v not in seen:
+            walk.extend(kids[v] if ctl[v] < 0 else (min(kids[v], key=bound.__getitem__),))
         seen.add(v)
-    return [event_of_var[v] for v in seen if v < first_gate]
+    return [instance.var_map.event_of_var[v] for v in seen if not ctl[v]]
 
 
 def _cores(instance: WcnfInstance, prop: Propagator, target: float,
@@ -346,18 +338,18 @@ def _cores(instance: WcnfInstance, prop: Propagator, target: float,
     every member and joins ``lb``.  The rounds stop once ``lb`` reaches
     ``target`` or the deadline passes, or once the zero-residual events
     fail the top, and then return those events."""
-    val, ctl, kids = prop.val, prop.ctl, prop.kids
-    first_gate = len(instance.var_map.var_of_event) + 1
+    val, ctl, kids, weight = prop.val, prop.ctl, prop.kids, prop.weight
     top = instance.var_map.root_var
-    r = [0.0 if x > 0 else w for x, w in zip(val, prop.weight[:first_gate])]
-    lb = math.fsum(w for x, w in zip(val, prop.weight[:first_gate]) if x > 0)
+    r = [0.0 if x > 0 else w for x, w in zip(val, weight)]
+    lb = math.fsum(w for x, w in zip(val, weight) if x > 0)
     # Per variable: 1 true, 0 false, -1 false at the root; the sum of 1/r
     # over the path set a walk from it takes; an AND's chosen child.
     z = [-1 if x < 0 else 0 for x in val]
     score, pick = [0.0] * len(val), [0] * len(val)
-    gates = [(g, ctl[g] < 0, kids[g])
-             for g in range(first_gate, len(val) - instance.blocking) if val[g] >= 0]
-    core, m = [v for v in range(1, first_gate) if val[v] >= 0], 0.0  # sets z, score
+    gates = [(g, ctl[g], kids[g])
+             for g in range(1, len(val) - instance.blocking) if ctl[g] and val[g] >= 0]
+    events = instance.var_map.event_of_var
+    core, m = [v for v in events if val[v] >= 0], 0.0  # sets z, score
     while True:
         for v in core:
             r[v] -= m
@@ -365,8 +357,8 @@ def _cores(instance: WcnfInstance, prop: Propagator, target: float,
         lb += m
         if lb >= target or time.perf_counter() > deadline:
             return lb, r, None
-        for g, is_and, gkids in gates:
-            if is_and:
+        for g, gctl, gkids in gates:
+            if gctl < 0:
                 low, best = math.inf, 0
                 for c in gkids:
                     if z[c] <= 0 and (not best or score[c] < low):
@@ -382,12 +374,11 @@ def _cores(instance: WcnfInstance, prop: Propagator, target: float,
                 else:
                     z[g], score[g] = 0, low
         if z[top] > 0:
-            event_of_var = instance.var_map.event_of_var
-            return lb, r, [event_of_var[v] for v in range(1, first_gate) if z[v] > 0]
+            return lb, r, [e for v, e in events.items() if z[v] > 0]
         core, walk, seen = [], [top], {top}
         while walk:
             v = walk.pop()
-            if v < first_gate:
+            if not ctl[v]:
                 core.append(v)
                 continue
             for c in (pick[v],) if ctl[v] < 0 else kids[v]:

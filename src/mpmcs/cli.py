@@ -4,7 +4,7 @@ Subcommands: ``solve`` (JSON report on stdout), ``check`` (cross-check
 against the brute-force reference), ``export-wcnf`` (DIMACS-style dump),
 and ``generate`` (random benchmark trees).
 
-Exit codes: 0 success, 1 invalid input or usage, 2 budget exhausted
+Exit codes: 0 success, 1 invalid input, usage or path, 2 budget exhausted
 before optimality was proven (the unproven report is still printed),
 3 solver and reference disagree under ``check``.
 """
@@ -17,7 +17,7 @@ import sys
 from typing import Optional, Sequence
 
 from .encoding import WcnfInstance, build_wcnf, format_wcnf
-from .fault_tree import FaultTree, FaultTreeError, parse_fault_tree, serialize_fault_tree
+from .fault_tree import FaultTree, parse_fault_tree, serialize_fault_tree
 from .generator import GeneratorParams, random_fault_tree
 from .oracle import MAX_ORACLE_EVENTS, oracle_mpmcs
 from .solver import (
@@ -47,12 +47,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_tree(path: str) -> FaultTree:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FaultTreeError(f"cannot read {path}: {exc}") from exc
-    return parse_fault_tree(text)
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_fault_tree(fh.read())
+
+
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout for ``-``."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _report(instance: WcnfInstance, result: Optional[MpmcsResult], proven: bool,
@@ -67,7 +72,7 @@ def _report(instance: WcnfInstance, result: Optional[MpmcsResult], proven: bool,
         "elapsed_ms": elapsed * 1000.0,
         "stats": {
             "events": len(instance.soft),
-            "gates": len(instance.circuit) - instance.blocking,
+            "gates": num_vars - len(instance.soft),
             "vars": num_vars,
             "hard_clauses": num_clauses,
         },
@@ -156,12 +161,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_export_wcnf(args) -> int:
-    text = format_wcnf(build_wcnf(_load_tree(args.file)))
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(args.output, format_wcnf(build_wcnf(_load_tree(args.file))))
     return EXIT_OK
 
 
@@ -174,13 +174,7 @@ def _cmd_generate(args) -> int:
         prob_high=args.prob_high,
         seed=args.seed,
     )
-    tree = random_fault_tree(params)
-    text = serialize_fault_tree(tree)
-    if args.output == "-":
-        print(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    _write(args.output, serialize_fault_tree(random_fault_tree(params)) + "\n")
     return EXIT_OK
 
 
@@ -238,7 +232,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # FaultTreeError included
+    except (OSError, ValueError) as exc:  # a path, FaultTreeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

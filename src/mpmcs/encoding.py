@@ -1,10 +1,11 @@
 """Weighted-instance assembly, and the CNF encoding it exports.
 
 The failure formula is compiled to a circuit with one variable per basic
-event and one per gate, which the solver works on.  Event probabilities
-move to log space, ``w = -ln p``, so that minimising a sum of falsified
-soft-clause weights maximises the joint probability of the chosen
-events.  The circuit's Tseitin CNF is derived only for export.
+event and one per gate, stored as a gate table indexed by variable, which
+the solver works on.  Event probabilities move to log space,
+``w = -ln p``, so that minimising a sum of falsified soft-clause weights
+maximises the joint probability of the chosen events.  The circuit's
+Tseitin CNF is derived only for export.
 
 Literals are DIMACS-style signed integers: ``v`` is the positive literal
 of variable ``v >= 1`` and ``-v`` its negation.
@@ -19,8 +20,6 @@ from typing import Iterable
 from .fault_tree import FaultTree, GateOp
 
 Clause = tuple[int, ...]
-# One (is_and, child variables) pair per gate, in gate-variable order.
-Circuit = tuple[tuple[bool, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -54,18 +53,19 @@ WeightMap = dict[str, float]
 class WcnfInstance:
     """Weighted partial MaxSAT instance for one fault tree.
 
-    ``circuit`` is the failure formula compiled to variables: entry ``i``
-    is ``(is_and, child_vars)`` for gate variable ``E + 1 + i``, where
-    ``E`` is the number of events (variables ``1..E``).  Every child
-    variable is smaller than its gate's, so one forward pass over the
-    circuit values children before parents; the root is
-    ``var_map.root_var`` (an event variable when the top is an event).
+    The failure formula is a circuit stored per variable: ``ctl[v]`` is
+    -1 when ``v`` is an AND gate, 1 for an OR gate and 0 for a basic
+    event, and ``kids[v]`` lists a gate's child variables (an event has
+    none; index 0 is unused).  Every child variable is smaller than its
+    gate's, so one forward pass values children before parents; the root
+    is ``var_map.root_var`` (an event variable when the top is an event).
     The last ``blocking`` gates are AND gates over blocked cut sets.  The
     hard constraints are the circuit itself: the root is true and every
     blocking gate is false.  ``tree_shaped`` records that no variable is
     a child of two of the fault tree's gates, i.e. no node is shared.
-    ``parents``, derived on construction, lists per variable the gates
-    (blocking gates too) that have it as a child, in increasing order.
+    Derived on construction: ``parents[v]``, the gates (blocking gates
+    too) that have ``v`` as a child, in increasing order, and
+    ``weight[v]``, an event's weight and 0 for a gate.
 
     ``soft`` holds one ``(event variable, weight)`` pair per basic event;
     the implied unit soft clause prefers the event variable false, so the
@@ -74,18 +74,23 @@ class WcnfInstance:
 
     soft: tuple[tuple[int, float], ...]
     var_map: VarMap
-    circuit: Circuit
+    ctl: tuple[int, ...]
+    kids: tuple[tuple[int, ...], ...]
     tree_shaped: bool
     blocking: int = 0
     parents: list[list[int]] = field(init=False, compare=False, repr=False)
+    weight: list[float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        first_gate = len(self.soft) + 1
-        parents: list[list[int]] = [[] for _ in range(first_gate + len(self.circuit))]
-        for g, (_, kids) in enumerate(self.circuit, first_gate):
+        parents: list[list[int]] = [[] for _ in self.kids]
+        for g, kids in enumerate(self.kids):
             for c in kids:
                 parents[c].append(g)
+        weight = [0.0] * len(self.kids)
+        for v, w in self.soft:
+            weight[v] = w
         object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "weight", weight)
 
     @property
     def hard(self) -> CnfFormula:
@@ -99,27 +104,28 @@ class WcnfInstance:
         event variables, the models are exactly the event sets that fail
         the top and contain no blocked set.
         """
-        gates = len(self.circuit) - self.blocking
+        end = len(self.kids) - self.blocking
         clauses: list[Clause] = []
-        for g, (is_and, kids) in enumerate(self.circuit[:gates], len(self.soft) + 1):
-            if is_and:
+        for g in range(len(self.soft) + 1, end):
+            kids = self.kids[g]
+            if self.ctl[g] < 0:
                 clauses.extend((-g, c) for c in kids)
                 clauses.append(tuple(-c for c in kids) + (g,))
             else:
                 clauses.append((-g,) + kids)
                 clauses.extend((-c, g) for c in kids)
         clauses.append((self.var_map.root_var,))
-        clauses.extend(tuple(-c for c in kids) for _, kids in self.circuit[gates:])
-        return CnfFormula(num_vars=len(self.soft) + gates, clauses=tuple(clauses))
+        clauses.extend(tuple(-c for c in kids) for kids in self.kids[end:])
+        return CnfFormula(num_vars=end - 1, clauses=tuple(clauses))
 
     @property
     def hard_size(self) -> tuple[int, int]:
         """``(hard.num_vars, len(hard.clauses))``, counted without deriving
         the CNF: a gate of fan-in ``k`` emits ``k + 1`` clauses, the root
         one and each blocking gate one."""
-        gates = len(self.circuit) - self.blocking
-        clauses = sum(len(kids) + 1 for _, kids in self.circuit[:gates])
-        return len(self.soft) + gates, clauses + 1 + self.blocking
+        end = len(self.kids) - self.blocking
+        gates = end - 1 - len(self.soft)
+        return end - 1, sum(map(len, self.kids[:end])) + gates + 1 + self.blocking
 
 
 def to_log_space(p: float) -> float:
@@ -162,6 +168,7 @@ def build_wcnf(tree: FaultTree) -> WcnfInstance:
     gates = list(map(nodes.__getitem__, order[num_events:]))
     var_of_child, AND = var_of.__getitem__, GateOp.AND
     kids = [tuple(map(var_of_child, gate.children)) for gate in gates]
+    head = num_events + 1  # variable 0 and the events: no children
     return WcnfInstance(
         # -ln p, as ``to_log_space``; validation keeps p inside (0, 1).
         soft=tuple(zip(range(1, num_events + 1),
@@ -171,7 +178,8 @@ def build_wcnf(tree: FaultTree) -> WcnfInstance:
             event_of_var=dict(zip(var_of.values(), events)),
             root_var=var_of[tree.top],
         ),
-        circuit=tuple(zip([gate.op is AND for gate in gates], kids)),
+        ctl=(0,) * head + tuple([-1 if gate.op is AND else 1 for gate in gates]),
+        kids=((),) * head + tuple(kids),
         # Every node but the top has a parent, one in a tree; children are
         # distinct, so each shared node adds an edge.
         tree_shaped=sum(map(len, kids)) == len(order) - 1,

@@ -158,6 +158,8 @@ def parse_fault_tree(text: str) -> FaultTree:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FaultTreeError(f"malformed JSON: {exc}") from exc
+    except RecursionError:
+        raise FaultTreeError("malformed JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise FaultTreeError("top-level JSON value must be an object")
     extra = set(doc) - {"name", "top", "nodes"}

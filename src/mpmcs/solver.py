@@ -96,8 +96,8 @@ class SolverConfig:
     time_budget: float = 60.0
 
     def __post_init__(self):
-        if self.time_budget <= 0:
-            raise ValueError("time budget must be positive")
+        if not self.time_budget > 0:  # NaN too: no deadline test would fire
+            raise ValueError(f"time budget must be positive, not {self.time_budget!r}")
 
     @property
     def solver_id(self) -> str:
@@ -468,10 +468,9 @@ def add_blocking_clause(instance: WcnfInstance, events: frozenset[str]) -> WcnfI
     if not events:
         raise ValueError("cannot block the empty set")
     var_of = instance.var_map.var_of_event
-    gate = (True, tuple(var_of[e] for e in sorted(events)))
-    return replace(
-        instance, circuit=instance.circuit + (gate,), blocking=instance.blocking + 1
-    )
+    kids = tuple(var_of[e] for e in sorted(events))
+    return replace(instance, ctl=instance.ctl + (-1,), kids=instance.kids + (kids,),
+                   blocking=instance.blocking + 1)
 
 
 def compute_mpmcs(tree: FaultTree,

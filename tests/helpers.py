@@ -45,14 +45,17 @@ def small_random_tree(seed: int, max_nodes: int = 13) -> FaultTree:
 
 
 def seeded_dag(nodes: int, share: float, seed: int) -> FaultTree:
-    """A seeded random tree plus ``share * #events`` extra gate -> event edges."""
+    """A seeded random tree plus ``share * #events`` extra gate -> event
+    edges, or as many as there are gate-event pairs not yet linked."""
     base = random_fault_tree(GeneratorParams(nodes=nodes, seed=seed))
     rng = random.Random(f"dag:{seed}")
     children = {
         n.id: list(n.children) for n in base.nodes.values() if isinstance(n, Gate)
     }
     gates, events = list(children), base.event_ids
-    extra = round(share * len(events))
+    event_set = set(events)
+    linked = sum(c in event_set for kids in children.values() for c in kids)
+    extra = min(round(share * len(events)), len(gates) * len(events) - linked)
     while extra:
         g, e = rng.choice(gates), rng.choice(events)
         if e not in children[g]:
@@ -89,7 +92,9 @@ def reference_build_wcnf(t: FaultTree) -> WcnfInstance:
     num_events = len(t.event_ids)
     var_of: dict[str, int] = {}
     soft: list[tuple[int, float]] = []
-    circuit: list[tuple[bool, tuple[int, ...]]] = []
+    # Variable 0 and the events have no children.
+    ctl: list[int] = [0] * (num_events + 1)
+    kids: list[tuple[int, ...]] = [()] * (num_events + 1)
     for nid in finished:
         node = t.nodes[nid]
         if isinstance(node, BasicEvent):
@@ -97,10 +102,11 @@ def reference_build_wcnf(t: FaultTree) -> WcnfInstance:
             soft.append((var, to_log_space(node.probability)))
             var_of[nid] = var
             continue
-        circuit.append((node.op is GateOp.AND, tuple(var_of[c] for c in node.children)))
-        var_of[nid] = num_events + len(circuit)
+        ctl.append(-1 if node.op is GateOp.AND else 1)
+        kids.append(tuple(var_of[c] for c in node.children))
+        var_of[nid] = len(kids) - 1
     var_of_event = {nid: v for nid, v in var_of.items() if v <= num_events}
-    children = [c for _, kids in circuit for c in kids]
+    children = [c for gate_kids in kids for c in gate_kids]
     return WcnfInstance(
         soft=tuple(soft),
         var_map=VarMap(
@@ -108,20 +114,21 @@ def reference_build_wcnf(t: FaultTree) -> WcnfInstance:
             event_of_var={v: e for e, v in var_of_event.items()},
             root_var=var_of[t.top],
         ),
-        circuit=tuple(circuit),
+        ctl=tuple(ctl),
+        kids=tuple(kids),
         tree_shaped=len(children) == len(set(children)),
     )
 
 
 def reference_complete_assignment(instance: WcnfInstance, true_events) -> tuple[int, ...]:
     """``complete_assignment`` as one forward pass over every gate."""
-    var_of_event = instance.var_map.var_of_event
-    val = [-1] * (len(var_of_event) + len(instance.circuit) + 1)
+    val = [-1] * len(instance.ctl)
     val[0] = 0
     for eid in true_events:
-        val[var_of_event[eid]] = 1
-    for g, (is_and, kids) in enumerate(instance.circuit, len(var_of_event) + 1):
-        val[g] = 1 if (all if is_and else any)(val[c] > 0 for c in kids) else -1
+        val[instance.var_map.var_of_event[eid]] = 1
+    for g, (c, kids) in enumerate(zip(instance.ctl, instance.kids)):
+        if c:
+            val[g] = 1 if (all if c < 0 else any)(val[k] > 0 for k in kids) else -1
     return tuple(val)
 
 

@@ -138,6 +138,24 @@ def test_solve_rejects_a_probability_too_large_for_a_float(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_solve_rejects_deeply_nested_json(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "nested" in err
+    assert "Traceback" not in err
+
+
+def test_solve_rejects_a_nan_timeout(capsys, fire_path):
+    """A NaN budget would never expire: every deadline test is false."""
+    code, out, err = run_cli(capsys, "solve", str(fire_path), "--timeout", "nan")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["solve"])
@@ -199,6 +217,17 @@ def test_export_wcnf_to_file(capsys, fire_path, fire_instance, tmp_path):
     assert target.read_text(encoding="utf-8") == format_wcnf(fire_instance)
 
 
+@pytest.mark.parametrize("command", [["export-wcnf", "FILE"], ["generate"]])
+def test_write_to_a_missing_directory_exits_one(capsys, fire_path, tmp_path, command):
+    target = tmp_path / "missing" / "out"
+    argv = [str(fire_path) if a == "FILE" else a for a in command]
+    code, out, err = run_cli(capsys, *argv, "-o", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+
+
 def test_generate_roundtrips(capsys, tmp_path):
     target = tmp_path / "gen.json"
     code, _, _ = run_cli(
@@ -210,11 +239,14 @@ def test_generate_roundtrips(capsys, tmp_path):
     assert t == random_fault_tree(GeneratorParams(nodes=40, seed=6))
 
 
-def test_generate_to_stdout_matches_file_output(capsys):
+def test_generate_to_stdout_matches_file_output(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "generate", "--nodes", "12", "--seed", "2")
     assert code == 0
     t = parse_fault_tree(out)
     assert len(t.nodes) == 12
+    target = tmp_path / "gen.json"
+    run_cli(capsys, "generate", "--nodes", "12", "--seed", "2", "-o", str(target))
+    assert target.read_text(encoding="utf-8") == out
 
 
 def test_generate_rejects_bad_params(capsys):

@@ -85,7 +85,7 @@ def test_tseitin_fire_layout(fire_tree):
     cnf, vm = inst.hard, inst.var_map
     assert vm.var_of_event == {f"x{i}": i for i in range(1, 8)}
     assert vm.event_of_var[3] == "x3"
-    assert len(inst.circuit) == 5
+    assert sum(1 for c in inst.ctl if c) == 5  # gate variables
     assert cnf.num_vars == 12
     # One aux per gate, full biconditional, one root unit.
     assert len(cnf.clauses) == 17
@@ -98,7 +98,7 @@ def test_tseitin_on_bare_event():
     cnf, vm = inst.hard, inst.var_map
     assert cnf.num_vars == 1
     assert cnf.clauses == ((1,),)
-    assert len(inst.circuit) == 0
+    assert inst.ctl == (0, 0) and inst.kids == ((), ())
     assert vm.root_var == 1
 
 
@@ -114,7 +114,8 @@ def test_tseitin_encodes_shared_gate_once():
         top="top",
     )
     inst = build_wcnf(t)
-    assert len(inst.circuit) == 4  # four distinct gates despite two references
+    # four distinct gates despite two references
+    assert sum(1 for c in inst.ctl if c) == 4
     assert inst.hard.num_vars == 8
 
 
@@ -176,8 +177,7 @@ def test_one_walk_orders_nodes_and_numbers_variables(t):
     assert t.order[-1] == t.top
     inst = build_wcnf(t)
     assert list(inst.var_map.var_of_event) == _first_appearance(t)
-    first_gate = len(inst.var_map.var_of_event) + 1
-    for g, (_, kids) in enumerate(inst.circuit, first_gate):
+    for g, kids in enumerate(inst.kids):
         assert all(c < g for c in kids)
 
 
@@ -185,9 +185,10 @@ def test_one_walk_orders_nodes_and_numbers_variables(t):
 @given(st.one_of(strategies.fault_trees(), strategies.dags()))
 def test_build_wcnf_equals_the_reference_compile(t):
     """The one-pass compile gives the node-by-node loop's instance: the
-    same circuit, weights, numbering (in order) and sharing flag."""
+    same gate table, weights, numbering (in order) and sharing flag."""
     got, want = build_wcnf(t), reference_build_wcnf(t)
-    assert got.circuit == want.circuit
+    assert got.ctl == want.ctl
+    assert got.kids == want.kids
     assert got.soft == want.soft
     assert list(got.var_map.var_of_event.items()) == list(want.var_map.var_of_event.items())
     assert list(got.var_map.event_of_var.items()) == list(want.var_map.event_of_var.items())
@@ -197,12 +198,13 @@ def test_build_wcnf_equals_the_reference_compile(t):
 
 def test_fire_circuit_numbering(fire_instance):
     """Gates numbered in DFS finish order; frozen regression."""
-    assert fire_instance.circuit == (
-        (True, (1, 2)),  # detection = x1 AND x2
-        (False, (6, 7)),  # remote = x6 OR x7
-        (True, (5, 9)),  # trigger = x5 AND remote
-        (False, (3, 4, 10)),  # suppression = x3 OR x4 OR trigger
-        (False, (8, 11)),  # system = detection OR suppression
+    assert fire_instance.ctl == (0,) * 8 + (-1, 1, -1, 1, 1)
+    assert fire_instance.kids == ((),) * 8 + (
+        (1, 2),  # 8: detection = x1 AND x2
+        (6, 7),  # 9: remote = x6 OR x7
+        (5, 9),  # 10: trigger = x5 AND remote
+        (3, 4, 10),  # 11: suppression = x3 OR x4 OR trigger
+        (8, 11),  # 12: system = detection OR suppression
     )
     assert fire_instance.var_map.root_var == 12
 

@@ -140,6 +140,15 @@ def test_parse_rejects_malformed_documents(text):
         parse_fault_tree(text)
 
 
+@pytest.mark.parametrize(
+    "text", ["[" * 200_000, '{"name": ' + "[" * 200_000 + "]" * 200_000 + "}"])
+def test_parse_rejects_deeply_nested_json(text):
+    """Nesting deeper than the decoder's recursion limit is a malformed
+    document, not a ``RecursionError``."""
+    with pytest.raises(FaultTreeError, match="nested too deeply"):
+        parse_fault_tree(text)
+
+
 def test_parse_rejects_a_probability_too_large_for_a_float():
     with pytest.raises(FaultTreeError, match="probability"):
         parse_fault_tree(_one_event("9" * 400))
@@ -237,6 +246,6 @@ def test_deep_tree_does_not_recurse():
     assert not evaluate(t, {})
     assert dualize(dualize(t)) == t
     assert dualize(t).nodes[t.top].op is GateOp.OR
-    assert len(build_wcnf(t).circuit) == 10_000
+    assert sum(1 for c in build_wcnf(t).ctl if c) == 10_000
     assert compute_mpmcs(t).cut_set == frozenset({"e"})
     assert parse_fault_tree(serialize_fault_tree(t)).top == t.top

@@ -10,6 +10,7 @@ import random
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import strategies
 from helpers import (
     is_minimal_cut,
+    reference_build_wcnf,
     reference_complete_assignment,
     satisfying_event_sets,
     seeded_dag,
@@ -716,6 +718,16 @@ def test_core_pass_bounds_small_dags(nodes, share, seed):
     _walk_bound_table(add_blocking_clause(instance, best), t, best)
 
 
+def test_seeded_dag_stops_at_the_free_gate_event_pairs():
+    """A tree with fewer unlinked gate-event pairs than the extra edges
+    asked for gets every one of them, instead of a search for more."""
+    for nodes, share, seed in ((3, 0.3, 7), (3, 1.0, 7), (9, 10.0, 2)):
+        t = seeded_dag(nodes, share, seed)
+        events = set(t.event_ids)
+        assert all(events <= set(n.children) for n in t.nodes.values()
+                   if isinstance(n, Gate))
+
+
 def test_stats_are_populated():
     # Trees prove with 0 decisions; this DAG needs a little search.
     sol = solve_branch_and_bound(build_wcnf(_four_event_dag()), SolverConfig())
@@ -1061,6 +1073,32 @@ def test_add_blocking_clause_is_pure(fire_instance):
     assert blocked.hard.clauses[-1] == (-1, -2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(strategies.fault_trees(max_events=7), strategies.dags(max_events=6)),
+       st.data())
+def test_blocking_leaves_the_parent_instance_alone(t, data):
+    """A blocked instance shares no table its solves could change with the
+    instance it extends: the parent's gate table, parent index and weights
+    stay as they were, the parent still solves to the unblocked optimum,
+    and the blocked CNF is the reference compile's plus the clause."""
+    blocked = frozenset(data.draw(st.sets(st.sampled_from(sorted(t.event_ids)), min_size=1)))
+    instance = build_wcnf(t)
+    before = copy.deepcopy((instance.ctl, instance.kids, instance.parents, instance.weight))
+    child = add_blocking_clause(instance, blocked)
+    try:
+        solve_branch_and_bound(child, SolverConfig())
+    except UnsatisfiableError:
+        pass
+    assert (instance.ctl, instance.kids, instance.parents, instance.weight) == before
+    sol = solve_branch_and_bound(instance, SolverConfig())
+    assert sol.proven
+    assert sol.weight == pytest.approx(oracle_mpmcs(t).log_weight, rel=1e-9, abs=0)
+    want = reference_build_wcnf(t).hard
+    var_of = instance.var_map.var_of_event
+    clause = tuple(-var_of[e] for e in sorted(blocked))
+    assert child.hard == replace(want, clauses=want.clauses + (clause,))
+
+
 def test_enumerate_optima_unique(fire_instance, fire_weights):
     optima = enumerate_optima(fire_instance, fire_weights, default_portfolio())
     assert [sorted(r.cut_set) for r in optima] == [["x1", "x2"]]
@@ -1186,10 +1224,11 @@ def test_compute_mpmcs_timeout():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(time_budget=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(time_budget=-1.0)
+    """NaN is rejected too: no deadline test against it would fire."""
+    for budget in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="budget"):
+            SolverConfig(time_budget=budget)
+    assert SolverConfig(time_budget=math.inf).time_budget == math.inf
 
 
 def test_solver_ids():
