@@ -1,7 +1,9 @@
 """Reasoning over the compiled circuit: unit propagation on its gates,
 evaluation, the set-minimality sweep, and the search's lower bounds (the
 bound tables and the core pass).  Every solve-time walk of the gate
-table ``WcnfInstance.ctl``/``kids`` is here."""
+table ``WcnfInstance.ctl``/``kids`` is here.  Evaluation, the bound
+tables and the core pass's rounds all re-evaluate a circuit through one
+incremental evaluator, ``_settle``: only the gates above what changed."""
 
 from __future__ import annotations
 
@@ -137,30 +139,48 @@ def _exact_weight(val: Sequence[int], instance: WcnfInstance) -> float:
     return math.fsum(w for var, w in instance.soft if val[var] > 0)
 
 
-def complete_assignment(instance: WcnfInstance, true_events: Iterable[str]) -> tuple[int, ...]:
-    """Model with exactly ``true_events`` true and every gate evaluated.
-    Only a gate above a true variable can be true, so only those are
-    evaluated, in increasing order (children first); the rest are false."""
-    var_of_event, parents = instance.var_map.var_of_event, instance.parents
-    ctl, kids = instance.ctl, instance.kids
-    val = [-1] * len(ctl)
-    val[0] = 0
-    queue: list[int] = []
-    for eid in true_events:
-        v = var_of_event[eid]
-        val[v] = 1
-        queue += parents[v]
+def _settle(entry: list, changed: Iterable[int], instance: WcnfInstance, and_op, or_op,
+            val: Optional[Sequence[int]] = None, log: Optional[list] = None) -> None:
+    """Re-evaluate every gate above ``changed``, whose entries the caller
+    has set, as ``and_op`` or ``or_op`` of its children's entries; every
+    other gate's entry must already be so.
+
+    Children have smaller variables than their gates, so popping gates
+    in increasing order computes each once, after its children; the walk
+    stops where an entry does not change.  A gate false under ``val``
+    keeps its entry.  Each change appends ``(gate, entry before)`` to
+    ``log``."""
+    parents, ctl, kids = instance.parents, instance.ctl, instance.kids
+    get = entry.__getitem__
+    queued = {p for v in changed for p in parents[v]}
+    queue = list(queued)
     heapq.heapify(queue)
-    # Values are +-1, so AND is the least child value and OR the greatest.
-    get, last = val.__getitem__, 0
     while queue:
         g = heapq.heappop(queue)
-        if g != last:  # a gate is queued once per true child
-            last = g
-            if (min if ctl[g] < 0 else max)(map(get, kids[g])) > 0:
-                val[g] = 1
-                for p in parents[g]:
+        if val is not None and val[g] < 0:
+            continue
+        new = (and_op if ctl[g] < 0 else or_op)(map(get, kids[g]))
+        if new != entry[g]:
+            if log is not None:
+                log.append((g, entry[g]))
+            entry[g] = new
+            for p in parents[g]:
+                if p not in queued:
+                    queued.add(p)
                     heapq.heappush(queue, p)
+
+
+def complete_assignment(instance: WcnfInstance, true_events: Iterable[str]) -> tuple[int, ...]:
+    """Model with exactly ``true_events`` true and every gate evaluated.
+    Only a gate above a true event can be true, so ``_settle`` evaluates
+    just those, over an all-false model (values +-1: AND is the least
+    child value, OR the greatest)."""
+    val = [-1] * len(instance.ctl)
+    val[0] = 0
+    true = [instance.var_map.var_of_event[eid] for eid in true_events]
+    for v in true:
+        val[v] = 1
+    _settle(val, true, instance, min, max)
     return tuple(val)
 
 
@@ -248,10 +268,8 @@ class _BoundTable:
     ``update`` follows a clean propagate: it sets the entries of the
     variables the newest decision level assigned (a true event costs 0,
     a false variable is ``inf``; a true gate's entry still comes from its
-    children) and re-evaluates their ancestors in increasing variable
-    order, so each gate is recomputed once, after its children, with the
-    full pass's own expression, and stops where an entry does not
-    change.  The floats are therefore those a full pass would compute.
+    children) and ``_settle``s their ancestors with the full pass's own
+    expressions, so the floats are those a full pass would compute.
     ``cost`` sums the entries zeroed by events turning true: their weight
     in the table's own weights.  ``undo(level)`` restores the entries
     logged since that level, and the cost, as ``Propagator.backtrack``
@@ -262,39 +280,28 @@ class _BoundTable:
     def __init__(self, instance: WcnfInstance, bound: Sequence[float]):
         self.bound = list(bound)
         self.cost = 0.0
+        self._instance = instance
         self._combine = math.fsum if instance.tree_shaped else max
         self._log: list[tuple[int, float]] = []  # (variable, entry before)
         self._marks: list[tuple[int, float]] = []  # (log length, cost) per level
 
     def update(self, prop: Propagator) -> None:
         """Bring the table up to date with the newest decision level."""
-        parents, bound, log = prop.parents, self.bound, self._log
-        val, ctl, kids, combine = prop.val, prop.ctl, prop.kids, self._combine
+        ctl, bound, log = prop.ctl, self.bound, self._log
         self._marks.append((len(log), self.cost))
-        # Children have smaller variables than their gates, so popping in
-        # increasing order recomputes each gate once, after its children.
-        queue = [
-            abs(lit) for lit in prop.trail[prop.level_starts[-1]:]
-            if lit < 0 or not ctl[lit]  # true gates keep their entries
-        ]
-        queued = set(queue)
-        heapq.heapify(queue)
-        while queue:
-            v = heapq.heappop(queue)
-            if val[v] < 0:
-                new = math.inf
-            elif not ctl[v]:
-                new = 0.0
-                self.cost += bound[v]
-            else:
-                new = (combine if ctl[v] < 0 else min)(map(bound.__getitem__, kids[v]))
+        changed = []
+        for lit in prop.trail[prop.level_starts[-1]:]:
+            v = abs(lit)
+            if lit > 0 and ctl[v]:
+                continue  # a true gate's entry comes from its children
+            new = 0.0 if lit > 0 else math.inf
             if bound[v] != new:
+                if lit > 0:
+                    self.cost += bound[v]
                 log.append((v, bound[v]))
                 bound[v] = new
-                for p in parents[v]:
-                    if p not in queued:
-                        queued.add(p)
-                        heapq.heappush(queue, p)
+                changed.append(v)
+        _settle(bound, changed, self._instance, self._combine, min, prop.val, log)
 
     def undo(self, level: int) -> None:
         """Restore the entries and the cost of every level beyond ``level``."""
@@ -337,52 +344,39 @@ def _cores(instance: WcnfInstance, prop: Propagator, target: float,
     it, never a variable false at the root.  P's least residual leaves
     every member and joins ``lb``.  The rounds stop once ``lb`` reaches
     ``target`` or the deadline passes, or once the zero-residual events
-    fail the top, and then return those events."""
+    fail the top, and then return those events.
+
+    ``score`` reads the circuit dually: an open event scores ``1/r``, a
+    gate the least score of an AND's children or the sum over an OR's, a
+    variable made true by the zero-residual events ``inf`` and one false
+    at the root 0.  Each round ``_settle``s only the ancestors of the
+    events whose residuals it lowered: the last path set (at first, every
+    event)."""
     val, ctl, kids, weight = prop.val, prop.ctl, prop.kids, prop.weight
     top = instance.var_map.root_var
     r = [0.0 if x > 0 else w for x, w in zip(val, weight)]
     lb = math.fsum(w for x, w in zip(val, weight) if x > 0)
-    # Per variable: 1 true, 0 false, -1 false at the root; the sum of 1/r
-    # over the path set a walk from it takes; an AND's chosen child.
-    z = [-1 if x < 0 else 0 for x in val]
-    score, pick = [0.0] * len(val), [0] * len(val)
-    gates = [(g, ctl[g], kids[g])
-             for g in range(1, len(val) - instance.blocking) if ctl[g] and val[g] >= 0]
+    score = [0.0] * len(val)  # all zero: a consistent start for _settle
     events = instance.var_map.event_of_var
-    core, m = [v for v in events if val[v] >= 0], 0.0  # sets z, score
+    core, m = [v for v in events if val[v] >= 0], 0.0
     while True:
         for v in core:
             r[v] -= m
-            z[v], score[v] = (1, 0.0) if r[v] == 0.0 else (0, 1.0 / r[v])
+            score[v] = 1.0 / r[v] if r[v] else math.inf
         lb += m
         if lb >= target or time.perf_counter() > deadline:
             return lb, r, None
-        for g, gctl, gkids in gates:
-            if gctl < 0:
-                low, best = math.inf, 0
-                for c in gkids:
-                    if z[c] <= 0 and (not best or score[c] < low):
-                        low, best = score[c], c
-                z[g], score[g], pick[g] = (0, low, best) if best else (1, 0.0, 0)
-            else:
-                low = 0.0
-                for c in gkids:
-                    if z[c] > 0:
-                        z[g] = 1
-                        break
-                    low += score[c]
-                else:
-                    z[g], score[g] = 0, low
-        if z[top] > 0:
-            return lb, r, [e for v, e in events.items() if z[v] > 0]
+        _settle(score, core, instance, min, math.fsum, val)
+        if score[top] == math.inf:
+            return lb, r, [e for v, e in events.items() if r[v] == 0.0]
         core, walk, seen = [], [top], {top}
         while walk:
             v = walk.pop()
             if not ctl[v]:
                 core.append(v)
                 continue
-            for c in (pick[v],) if ctl[v] < 0 else kids[v]:
-                if z[c] == 0 and c not in seen:
+            for c in (min(kids[v], key=score.__getitem__),) if ctl[v] < 0 else kids[v]:
+                if 0.0 < score[c] < math.inf and c not in seen:
                     seen.add(c)
                     walk.append(c)
         if not core:  # no model is left; the search will find that out

@@ -3,11 +3,14 @@
 Everything here is deliberately independent of the search code it is
 used to judge; correctness checks go through direct evaluation of the
 fault tree (``evaluate``, which reads gate types and child ids, never
-the compiled circuit) and bitmask enumeration only.
+the compiled circuit) and bitmask enumeration only.  The ``reference_*``
+functions are plain full-pass versions of compiled-circuit code, sharing
+no code with it, that tests require it to equal.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 from mpmcs.encoding import CnfFormula, VarMap, WcnfInstance, to_log_space
@@ -130,6 +133,55 @@ def reference_complete_assignment(instance: WcnfInstance, true_events) -> tuple[
         if c:
             val[g] = 1 if (all if c < 0 else any)(val[k] > 0 for k in kids) else -1
     return tuple(val)
+
+
+def reference_cores(instance: WcnfInstance, val, target: float):
+    """``circuit._cores`` with no deadline, re-scoring every gate in every
+    round in one forward pass: per variable ``z`` (1 true, 0 false, -1
+    false at the root), the sum of ``1/r`` over the path set a walk from
+    it takes, and an AND's chosen child.  Returns ``(lb, r, zero)``."""
+    ctl, kids, weight = instance.ctl, instance.kids, instance.weight
+    top = instance.var_map.root_var
+    r = [0.0 if x > 0 else w for x, w in zip(val, weight)]
+    lb = math.fsum(w for x, w in zip(val, weight) if x > 0)
+    z = [-1 if x < 0 else 0 for x in val]
+    score, pick = [0.0] * len(val), [0] * len(val)
+    gates = [g for g in range(1, len(val) - instance.blocking) if ctl[g] and val[g] >= 0]
+    events = instance.var_map.event_of_var
+    core, m = [v for v in events if val[v] >= 0], 0.0
+    while True:
+        for v in core:
+            r[v] -= m
+            z[v], score[v] = (1, 0.0) if r[v] == 0.0 else (0, 1.0 / r[v])
+        lb += m
+        if lb >= target:
+            return lb, r, None
+        for g in gates:
+            if ctl[g] < 0:
+                low, best = math.inf, 0
+                for c in kids[g]:
+                    if z[c] <= 0 and (not best or score[c] < low):
+                        low, best = score[c], c
+                z[g], score[g], pick[g] = (0, low, best) if best else (1, 0.0, 0)
+            elif any(z[c] > 0 for c in kids[g]):
+                z[g] = 1
+            else:
+                z[g], score[g] = 0, math.fsum(score[c] for c in kids[g])
+        if z[top] > 0:
+            return lb, r, [e for v, e in events.items() if z[v] > 0]
+        core, walk, seen = [], [top], {top}
+        while walk:
+            v = walk.pop()
+            if not ctl[v]:
+                core.append(v)
+                continue
+            for c in (pick[v],) if ctl[v] < 0 else kids[v]:
+                if z[c] == 0 and c not in seen:
+                    seen.add(c)
+                    walk.append(c)
+        if not core:
+            return lb, r, None
+        m = min(r[v] for v in core)
 
 
 def satisfying_event_sets(t: FaultTree) -> set[frozenset[str]]:

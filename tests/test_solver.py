@@ -21,6 +21,7 @@ from helpers import (
     is_minimal_cut,
     reference_build_wcnf,
     reference_complete_assignment,
+    reference_cores,
     satisfying_event_sets,
     seeded_dag,
     small_random_tree,
@@ -702,20 +703,58 @@ def test_bound_table_matches_full_pass(shared, data):
         _walk_bound_table(add_blocking_clause(instance, blocked), t, blocked)
 
 
+def _assert_cores_match_reference(instance) -> None:
+    prop = Propagator(instance)
+    if prop.assert_units():
+        assert solver._cores(instance, prop, math.inf, math.inf) == reference_cores(
+            instance, prop.val, math.inf)
+
+
+@pytest.mark.parametrize("blocked", [False, True], ids=["free", "blocked"])
+@settings(max_examples=60, deadline=None)
+@given(t=strategies.dags(), data=st.data())
+def test_core_pass_equals_a_full_re_score(blocked, t, data):
+    """Settling only the ancestors of each round's path set gives the
+    bound, residuals and zero set of re-scoring every gate, bit for bit,
+    also with a blocking gate over two or more events."""
+    instance = build_wcnf(t)
+    events = sorted(t.event_ids)
+    if blocked and len(events) > 1:
+        chosen = data.draw(st.sets(st.sampled_from(events), min_size=2))
+        instance = add_blocking_clause(instance, frozenset(chosen))
+    _assert_cores_match_reference(instance)
+
+
 @pytest.mark.parametrize("nodes, share, seed",
                          [(16, 0.5, 1), (16, 0.5, 14), (16, 1.0, 15), (20, 0.5, 21)])
 def test_core_pass_bounds_small_dags(nodes, share, seed):
     """Small DAGs whose root the first table leaves open, so the core
-    pass runs: its bound holds at every node of an exhaustive walk, and
-    every configuration finds the optimum, also with it blocked."""
+    pass runs: it equals the full re-score, its bound holds at every node
+    of an exhaustive walk, and every configuration finds the optimum,
+    also with it blocked."""
     t = seeded_dag(nodes, share, seed)
     instance = build_wcnf(t)
     assert solver._root(instance).rbound is not None
+    _assert_cores_match_reference(instance)
     _assert_strategies_match_oracle(t)
     _walk_bound_table(instance, t)
     best = oracle_mpmcs(t).cut_set
     _assert_strategies_match_oracle(t, best)
+    _assert_cores_match_reference(add_blocking_clause(instance, best))
     _walk_bound_table(add_blocking_clause(instance, best), t, best)
+
+
+def test_core_pass_pins_many_rounds_at_scale():
+    """Two DAGs whose core pass runs many rounds: the bound is pinned bit
+    for bit, and the second proves at the root."""
+    root = solver._root(build_wcnf(seeded_dag(20000, 0.5, 3)))
+    assert root.rbound is not None
+    assert root.lb == 49.342680069271715
+    root = solver._root(build_wcnf(seeded_dag(50000, 0.5, 1)))
+    assert root.lb == 47.822762350677095
+    sol = solver._search(root, SolverConfig(), None, False)
+    assert sol.proven
+    assert sol.stats.decisions == 0
 
 
 def test_seeded_dag_stops_at_the_free_gate_event_pairs():
