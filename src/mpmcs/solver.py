@@ -12,10 +12,11 @@ only in the order in which open nodes leave the frontier:
 Every solve sets up its root once: the hard units propagated, the root
 bound table and warm start and, on shared-node instances whose root that
 table leaves open, the core pass's bound, table and warm start (see
-``circuit``).  A portfolio runs several configurations concurrently,
-each from its own fork of that one root; the first proven-optimal
-finisher wins and the rest are cancelled cooperatively through a flag
-they poll at every decision.
+``circuit``).  A root whose bound reaches the warm start's weight is
+proven there, with no search and no thread.  Otherwise a portfolio
+races several configurations, each from its own fork of that one
+root; the first proven-optimal finisher wins and the rest are
+cancelled cooperatively through a flag they poll at every decision.
 
 Weight bookkeeping: search-time costs accumulate incrementally, but any
 weight that leaves this module is recomputed with ``math.fsum`` over the
@@ -187,6 +188,7 @@ class _Root:
     warm: Optional[tuple[int, ...]]  # the warm start, unless blocked
     warm_w: float  # its weight, or inf
     start: float
+    lower: float  # the root's lower bound, as ``_search`` bounds a node
     lb: float = 0.0  # the core pass's bound, when it ran
     rbound: Optional[list[float]] = None  # the root table over its residuals
 
@@ -209,8 +211,9 @@ def _root(instance: WcnfInstance, time_budget: float = math.inf) -> _Root:
     warm = walked if _meets_hard(instance, walked) else None
     warm_w = math.inf if warm is None else _exact_weight(warm, instance)
     target = warm_w - _prune_slack(warm_w)
-    if instance.tree_shaped or prop.cost + bound[instance.var_map.root_var] >= target:
-        return _Root(instance, prop, bound, warm, warm_w, start)
+    lower = prop.cost + bound[instance.var_map.root_var]
+    if instance.tree_shaped or lower >= target:
+        return _Root(instance, prop, bound, warm, warm_w, start, lower)
     lb, residual, zero = _cores(instance, prop, target, start + time_budget)
     if zero is not None:
         var_of = instance.var_map.var_of_event
@@ -221,14 +224,31 @@ def _root(instance: WcnfInstance, time_budget: float = math.inf) -> _Root:
         if _meets_hard(instance, swept) and swept_w < warm_w:
             warm, warm_w = swept, swept_w
     rbound = _residual_bound(instance, prop.val, residual)
-    return _Root(instance, prop, bound, warm, warm_w, start, lb, rbound)
+    lower = max(lower, lb + rbound[instance.var_map.root_var])
+    return _Root(instance, prop, bound, warm, warm_w, start, lower, lb, rbound)
+
+
+def _closed(root: _Root, config: SolverConfig,
+            cancel: Optional[threading.Event] = None) -> Optional[Solution]:
+    """What ``_search`` returns when the root's bound reaches the warm
+    start's weight: the warm start, unproven once cancelled or out of
+    budget, else proven (no warm start: unsatisfiable); None if open."""
+    if root.lower < root.warm_w - _prune_slack(root.warm_w):
+        return None
+    cancelled = cancel is not None and cancel.is_set()
+    now = time.perf_counter()
+    proven = not cancelled and now <= root.start + config.time_budget
+    if proven and root.warm is None:
+        raise UnsatisfiableError("search space exhausted without a model")
+    stats = SearchStats(0, root.prop.propagations, now - root.start, cancelled)
+    return Solution(root.warm, root.warm_w, proven, stats, config.solver_id)
 
 
 def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event],
             best_first: bool) -> Solution:
     """Branch and bound over event variables from a fork of ``root``;
     ``best_first`` chooses only the order in which open nodes leave the
-    frontier.
+    frontier.  Only a root that leaves a gap (see ``_closed``) is forked.
 
     The incumbent starts as the root's warm start.  A node is pruned when
     its bound cannot beat the incumbent: its cost plus the root table's
@@ -249,6 +269,8 @@ def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event]
     budget or being cancelled, even before deciding, returns the
     incumbent unproven.
     """
+    if (closed := _closed(root, config, cancel)) is not None:
+        return closed
     instance = root.instance
     deadline = root.start + config.time_budget
     prop = root.prop.fork()
@@ -263,13 +285,10 @@ def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event]
     path: list[tuple] = []  # the nodes on the trail, one per decision level
     frontier: list = []
     tie = count()
-    clean = True  # the current node propagated without conflict
     proven = False
+    lower, expand = root.lower, True  # ``_closed`` found the root open
     while True:
-        lower = prop.cost + bound[top] if clean else math.inf
-        if clean and root.rbound is not None:
-            lower = max(lower, root.lb + rtable.cost + rtable.bound[top])
-        if lower < incumbent_w - _prune_slack(incumbent_w):
+        if expand:
             if not order:  # stable, so equal weights keep event-id order
                 var_of = instance.var_map.var_of_event
                 order = sorted(map(var_of.__getitem__, sorted(var_of)),
@@ -330,6 +349,10 @@ def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event]
                     t.update(prop)
                 path.append(step)
         decisions += 1
+        lower = prop.cost + bound[top] if clean else math.inf
+        if clean and root.rbound is not None:
+            lower = max(lower, root.lb + rtable.cost + rtable.bound[top])
+        expand = lower < incumbent_w - _prune_slack(incumbent_w)
 
     if proven and incumbent is None:
         raise UnsatisfiableError("search space exhausted without a model")
@@ -362,39 +385,42 @@ def solve_best_first(instance: WcnfInstance, config: SolverConfig,
 
 
 def solve_portfolio(instance: WcnfInstance, configs: Sequence[SolverConfig]) -> Solution:
-    """Run all configurations concurrently; first proven result wins.
+    """Race all configurations on the root's gap; first proven result wins.
 
-    The root is set up once, before any worker starts, and every worker
-    searches its own fork of it; ``config.strategy`` picks the worker's
-    frontier order (see ``_search``).  Workers poll a cancellation flag
-    at every decision, so losers stop within a small grace period once a
-    winner reports.  If nobody proves optimality in budget, the best
-    incumbent is returned unproven.  Only if every worker raises does
-    the portfolio raise, aggregating the errors.
+    The root is set up once.  A root that ``_closed`` settles leaves
+    nothing to race: each member exits at once with its outcome and no
+    thread starts.  Otherwise each worker searches its own fork of the
+    root in its ``config.strategy``'s order (see ``_search``), polling a
+    cancellation flag at every decision, so losers stop within a small
+    grace period once a winner reports.  If nobody proves optimality in
+    budget, the best incumbent is returned unproven.  Only if every
+    worker raises does the portfolio raise, aggregating the errors.
     """
     if not configs:
         raise ValueError("portfolio needs at least one configuration")
     # The members share one root, so it may take the largest budget.
     root = _root(instance, max(cfg.time_budget for cfg in configs))
-    cancel = threading.Event()
+    now = time.perf_counter()
     # Per worker: its Solution or the exception it raised, and its exit time.
-    records: list = [None] * len(configs)
+    records: list = [(_closed(root, cfg), now) for cfg in configs]
+    if records[0][0] is None:  # the root leaves a gap: race on it
+        cancel = threading.Event()
 
-    def work(i: int, cfg: SolverConfig) -> None:
-        try:
-            outcome = _search(root, cfg, cancel, cfg.strategy is Strategy.BEST_FIRST)
-            if outcome.proven:
-                cancel.set()
-        except BaseException as exc:  # reported, not swallowed
-            outcome = exc
-        records[i] = (outcome, time.perf_counter())
+        def work(i: int, cfg: SolverConfig) -> None:
+            try:
+                outcome = _search(root, cfg, cancel, cfg.strategy is Strategy.BEST_FIRST)
+                if outcome.proven:
+                    cancel.set()
+            except BaseException as exc:  # reported, not swallowed
+                outcome = exc
+            records[i] = (outcome, time.perf_counter())
 
-    threads = [threading.Thread(target=work, args=(i, cfg), daemon=True)
-               for i, cfg in enumerate(configs)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+        threads = [threading.Thread(target=work, args=(i, cfg), daemon=True)
+                   for i, cfg in enumerate(configs)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
 
     solved = [out for out, _ in records if isinstance(out, Solution)]
     if not solved:
@@ -410,10 +436,8 @@ def solve_portfolio(instance: WcnfInstance, configs: Sequence[SolverConfig]) -> 
     for cfg, (out, exited) in zip(configs, records):
         after = None if won is None else max(0.0, exited - won)
         inside = None if after is None else after <= GRACE_PERIOD
-        if isinstance(out, Solution):
-            summary = (out.proven, out.weight, out.stats.elapsed, out.stats.cancelled, None)
-        else:
-            summary = (False, math.inf, 0.0, False, str(out))
+        summary = ((out.proven, out.weight, out.stats.elapsed, out.stats.cancelled, None)
+                   if isinstance(out, Solution) else (False, math.inf, 0.0, False, str(out)))
         reports.append(WorkerReport(cfg.solver_id, *summary, exit_after_winner=after,
                                     within_grace=inside))
 

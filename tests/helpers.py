@@ -71,6 +71,23 @@ def seeded_dag(nodes: int, share: float, seed: int) -> FaultTree:
     return FaultTree(name="dag", nodes=nodes_out, top=base.top)
 
 
+def tie_tree(nodes: int, seed: int) -> FaultTree:
+    """``random_fault_tree(nodes, seed)`` with probabilities drawn from
+    (0.1, 0.01), as the benchmark's ``all_optima`` workload draws them,
+    so many cut sets tie."""
+    base = random_fault_tree(GeneratorParams(nodes=nodes, seed=seed))
+    rng = random.Random(f"ties:{seed}")
+    nodes_out = {
+        nid: BasicEvent(nid, rng.choice((0.1, 0.01))) if isinstance(node, BasicEvent) else node
+        for nid, node in base.nodes.items()
+    }
+    return FaultTree(name="ties", nodes=nodes_out, top=base.top)
+
+
+# The first optimum ``enumerate_optima`` finds on ``tie_tree(100, 2)``.
+TIES_100_2_FIRST = frozenset({"e8", "e9", "e24"})
+
+
 def reference_build_wcnf(t: FaultTree) -> WcnfInstance:
     """``build_wcnf`` as a node-by-node loop over a depth-first walk of its
     own, independent of ``FaultTree.order``.

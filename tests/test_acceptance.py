@@ -12,11 +12,14 @@ import time
 
 from helpers import (
     FIRE_WEIGHTS,
+    TIES_100_2_FIRST,
     all_models,
     is_minimal_cut,
     project_models,
     satisfying_event_sets,
+    seeded_dag,
     small_random_tree,
+    tie_tree,
 )
 from mpmcs.encoding import (
     WCNF_WEIGHT_SCALE,
@@ -32,6 +35,9 @@ from mpmcs.solver import (
     SolverConfig,
     Strategy,
     VarOrder,
+    _closed,
+    _root,
+    add_blocking_clause,
     compute_mpmcs,
     default_portfolio,
     extract_mpmcs,
@@ -183,20 +189,24 @@ def test_criterion_5_scalability(capsys):
             ", ".join(detail_parts))
 
 
-def test_criterion_6_portfolio_determinism_and_cancellation(capsys, fire_tree):
+def test_criterion_6_portfolio_determinism_and_cancellation(capsys):
+    """Only a root that leaves a gap is raced (a closed root returns with
+    no thread), so both instances must search: a shared-node DAG, and a
+    tie tree whose first optimum is blocked."""
     failures = []
     runs = 20
     cancelled_seen = 0
     late_worst = 0.0
     try:
-        instances = [("fire", fire_tree)]
-        for i in range(5):
-            instances.append(
-                (f"random-{i}", random_fault_tree(GeneratorParams(nodes=200, seed=100 + i)))
-            )
-        for label, t in instances:
-            instance = build_wcnf(t)
-            weights = event_weights(t)
+        dag, ties = seeded_dag(1000, 2.0, 1), tie_tree(100, 2)
+        instances = [
+            ("dag-1000-2.0-1", build_wcnf(dag), event_weights(dag)),
+            ("ties-100-2-blocked",
+             add_blocking_clause(build_wcnf(ties), TIES_100_2_FIRST), event_weights(ties)),
+        ]
+        for label, instance, weights in instances:
+            if _closed(_root(instance), SolverConfig()) is not None:
+                failures.append(f"{label}: root is closed, so nothing is raced")
             seen = set()
             for _ in range(runs):
                 sol = solve_portfolio(instance, default_portfolio())

@@ -6,7 +6,6 @@ import copy
 import itertools
 import math
 import pickle
-import random
 import sys
 import threading
 import time
@@ -18,6 +17,7 @@ from hypothesis import strategies as st
 
 import strategies
 from helpers import (
+    TIES_100_2_FIRST,
     is_minimal_cut,
     reference_build_wcnf,
     reference_complete_assignment,
@@ -25,6 +25,7 @@ from helpers import (
     satisfying_event_sets,
     seeded_dag,
     small_random_tree,
+    tie_tree,
     tree,
     unit_propagate,
 )
@@ -578,6 +579,7 @@ def test_pre_set_cancel_flag_stops_both(fire_instance, monkeypatch):
     cancel.set()
     # Proven at the root with no decisions, so its model is the warm start.
     warm = solve_branch_and_bound(fire_instance, SolverConfig())
+    assert solver._closed(solver._root(fire_instance), SolverConfig()) is not None
     for config in (SolverConfig(), SolverConfig(strategy=Strategy.BEST_FIRST)):
         calls.clear()
         sol = _solve(fire_instance, config, cancel)
@@ -777,22 +779,10 @@ def test_stats_are_populated():
 
 
 def _tied_tree_second_solve():
-    """``random_fault_tree(100, seed 2)`` with probabilities drawn from
-    (0.1, 0.01), as the benchmark's ``all_optima`` workload draws them,
-    and its first optimum blocked: the blocking clause spans three events,
-    so the warm start is ruled out and the tree-shaped bound searches."""
-    base = random_fault_tree(GeneratorParams(nodes=100, seed=2))
-    rng = random.Random("ties:2")
-    t = FaultTree(
-        name="ties",
-        nodes={
-            nid: BasicEvent(nid, rng.choice((0.1, 0.01)))
-            if isinstance(node, BasicEvent) else node
-            for nid, node in base.nodes.items()
-        },
-        top=base.top,
-    )
-    return add_blocking_clause(build_wcnf(t), frozenset({"e8", "e9", "e24"}))
+    """``tie_tree(100, 2)`` with its first optimum blocked: the blocking
+    clause spans three events, so the warm start is ruled out and the
+    tree-shaped bound searches."""
+    return add_blocking_clause(build_wcnf(tie_tree(100, 2)), TIES_100_2_FIRST)
 
 
 @pytest.mark.parametrize(
@@ -955,14 +945,80 @@ def test_portfolio_rejects_empty_config_list(fire_instance):
 
 
 def test_portfolio_reports_cancelled_losers():
-    t = random_fault_tree(GeneratorParams(nodes=300, seed=8))
-    instance = build_wcnf(t)
+    """Only a root that leaves a gap is raced, so the race needs one."""
+    instance = _tied_tree_second_solve()
+    assert solver._closed(solver._root(instance), SolverConfig()) is None
     sol = solve_portfolio(instance, default_portfolio())
     assert sol.proven
     late = [r for r in sol.workers if r.exit_after_winner is not None]
     assert late, "some worker must have exited after the winner"
     for r in late:
         assert r.within_grace
+    assert any(r.cancelled for r in sol.workers)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a solve closed at the root started a race")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build_wcnf(seeded_dag(200, 0.3, 1)),
+     lambda: build_wcnf(random_fault_tree(GeneratorParams(nodes=1000, seed=3)))],
+    ids=["dag-200-1", "tree-1000-3"],
+)
+def test_portfolio_on_a_closed_root_starts_no_thread(make, monkeypatch):
+    """A root whose bound reaches the warm start's weight leaves nothing
+    to race: the portfolio returns what branch and bound alone returns,
+    with one proven report per member, and starts no thread."""
+    instance = make()
+    assert solver._closed(solver._root(instance), SolverConfig()) is not None
+    want = solve_branch_and_bound(instance, SolverConfig())
+    monkeypatch.setattr(threading, "Thread", _refuse)
+    monkeypatch.setattr(threading, "Event", _refuse)
+    sol = solve_portfolio(instance, default_portfolio())
+    assert sol.proven and sol.stats.decisions == 0 and not sol.stats.cancelled
+    assert (sol.assignment, sol.weight, sol.solver_id) == (
+        want.assignment, want.weight, "bnb-desc"
+    )
+    assert [(r.solver_id, r.proven, r.weight, r.exit_after_winner, r.within_grace)
+            for r in sol.workers] == [
+        ("bnb-desc", True, want.weight, 0.0, True),
+        ("bestfirst-asc", True, want.weight, 0.0, True),
+    ]
+
+
+def test_closed_root_reports_the_first_member_whose_budget_holds(fire_instance, monkeypatch):
+    """A member out of budget loses a closed root as it loses a race;
+    with every budget spent the warm start comes back unproven."""
+    monkeypatch.setattr(threading, "Thread", _refuse)
+    spent, held = SolverConfig(time_budget=1e-9), SolverConfig(Strategy.BEST_FIRST)
+    sol = solve_portfolio(fire_instance, [spent, held])
+    assert sol.proven and sol.solver_id == "bestfirst-desc"
+    assert [r.proven for r in sol.workers] == [False, True]
+    sol = solve_portfolio(fire_instance, [spent, spent])
+    assert not sol.proven and sol.solver_id == "bnb-desc"
+    assert sol.assignment == solver._root(fire_instance).warm
+    assert all(r.exit_after_winner is None for r in sol.workers)
+
+
+def test_closed_root_without_a_warm_start_is_unsatisfiable(fire_instance, monkeypatch):
+    """A root with no warm start is closed only when its bound is
+    infinite, so no model exists: every solve raises, as an exhausted
+    search does, unless its budget is spent first."""
+    real_root = solver._root
+
+    def hopeless(*args):
+        return replace(real_root(*args), warm=None, warm_w=math.inf, lower=math.inf)
+
+    monkeypatch.setattr(solver, "_root", hopeless)
+    monkeypatch.setattr(threading, "Thread", _refuse)
+    with pytest.raises(UnsatisfiableError):
+        solve_branch_and_bound(fire_instance, SolverConfig())
+    with pytest.raises(UnsatisfiableError):
+        solve_portfolio(fire_instance, default_portfolio())
+    sol = solve_portfolio(fire_instance, default_portfolio(time_budget=1e-9))
+    assert not sol.proven and sol.assignment is None and sol.weight == math.inf
 
 
 def test_portfolio_all_errors_aggregate(monkeypatch):
@@ -1178,6 +1234,24 @@ def test_enumerate_optima_on_dags_matches_oracle(t, data):
     got = [r.cut_set for r in optima]
     assert len(got) == len(set(got))
     assert set(got) == want
+
+
+@pytest.mark.parametrize(
+    "nodes, seed, want",
+    [(60, 5, ["e1", "e8", "e9", "e10", "e11", "e12", "e26", "e27", "e28", "e29",
+              "e30", "e31", "e32", "e33"]),
+     (80, 0, ["e2", "e3", "e26", "e27", "e28", "e41"])],
+    ids=["ties-60-5", "ties-80-0"],
+)
+def test_enumerate_optima_order_on_closed_roots(nodes, seed, want, monkeypatch):
+    """Every optimum of these tie trees is one event, whose block is a
+    unit that keeps the warm start, so every re-solve closes at the root
+    and starts no thread.  Each returns the warm start, as the race did:
+    the order is the one the portfolio found when it raced every solve."""
+    monkeypatch.setattr(threading, "Thread", _refuse)
+    t = tie_tree(nodes, seed)
+    optima = enumerate_optima(build_wcnf(t), event_weights(t), default_portfolio())
+    assert [sorted(r.cut_set) for r in optima] == [[e] for e in want]
 
 
 def test_enumerate_optima_exhausts_single_event():
