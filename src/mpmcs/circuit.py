@@ -136,7 +136,7 @@ class Propagator:
 
 
 def _exact_weight(val: Sequence[int], instance: WcnfInstance) -> float:
-    return math.fsum(w for var, w in instance.soft if val[var] > 0)
+    return math.fsum(w for x, w in zip(val, instance.weight) if x > 0)
 
 
 def _settle(entry: list, changed: Iterable[int], instance: WcnfInstance, and_op, or_op,

@@ -7,11 +7,14 @@ and ``generate`` (random benchmark trees).
 Exit codes: 0 success, 1 invalid input, usage or path, 2 budget exhausted
 before optimality was proven (the unproven report is still printed),
 3 solver and reference disagree under ``check``.
+
+``main`` builds its parser once per process; ``build_parser`` makes one per call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -71,8 +74,8 @@ def _report(instance: WcnfInstance, result: Optional[MpmcsResult], proven: bool,
         "solver_id": solver_id,
         "elapsed_ms": elapsed * 1000.0,
         "stats": {
-            "events": len(instance.soft),
-            "gates": num_vars - len(instance.soft),
+            "events": len(instance.var_map.var_of_event),
+            "gates": num_vars - len(instance.var_map.var_of_event),
             "vars": num_vars,
             "hard_clauses": num_clauses,
         },
@@ -81,8 +84,8 @@ def _report(instance: WcnfInstance, result: Optional[MpmcsResult], proven: bool,
 
 def _cmd_solve(args) -> int:
     instance = build_wcnf(_load_tree(args.file))
-    # The soft weights are the events' -ln p, so no second walk of the tree.
-    weights = dict(zip(instance.var_map.var_of_event, [w for _, w in instance.soft]))
+    # The events' weights are their -ln p, so no second walk of the tree.
+    weights = dict(zip(instance.var_map.var_of_event, instance.weight[1:]))
     configs = default_portfolio(time_budget=args.timeout)
     if args.strategy != "portfolio":
         configs = [c for c in configs if c.strategy.value == args.strategy]
@@ -227,9 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # a path, FaultTreeError included

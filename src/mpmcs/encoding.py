@@ -63,34 +63,35 @@ class WcnfInstance:
     hard constraints are the circuit itself: the root is true and every
     blocking gate is false.  ``tree_shaped`` records that no variable is
     a child of two of the fault tree's gates, i.e. no node is shared.
-    Derived on construction: ``parents[v]``, the gates (blocking gates
-    too) that have ``v`` as a child, in increasing order, and
-    ``weight[v]``, an event's weight and 0 for a gate.
 
-    ``soft`` holds one ``(event variable, weight)`` pair per basic event;
-    the implied unit soft clause prefers the event variable false, so the
-    weight is paid exactly when the event takes part in the failure.
+    ``weight[v]`` is an event's ``-ln p`` and 0 for a gate: the cost of
+    the event's unit soft clause, which prefers it false.  ``parents[v]``
+    lists the gates (blocking gates too) with ``v`` as a child, in
+    increasing order; derived on construction unless given, as
+    ``add_blocking_clause`` gives it, sharing the tree's lists.
     """
 
-    soft: tuple[tuple[int, float], ...]
     var_map: VarMap
     ctl: tuple[int, ...]
     kids: tuple[tuple[int, ...], ...]
+    weight: tuple[float, ...]
     tree_shaped: bool
     blocking: int = 0
-    parents: list[list[int]] = field(init=False, compare=False, repr=False)
-    weight: list[float] = field(init=False, compare=False, repr=False)
+    parents: list[list[int]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        parents: list[list[int]] = [[] for _ in self.kids]
-        for g, kids in enumerate(self.kids):
-            for c in kids:
-                parents[c].append(g)
-        weight = [0.0] * len(self.kids)
-        for v, w in self.soft:
-            weight[v] = w
-        object.__setattr__(self, "parents", parents)
-        object.__setattr__(self, "weight", weight)
+        if self.parents is None:
+            parents: list[list[int]] = [[] for _ in self.kids]
+            for g, kids in enumerate(self.kids):
+                for c in kids:
+                    parents[c].append(g)
+            object.__setattr__(self, "parents", parents)
+
+    @property
+    def soft(self) -> tuple[tuple[int, float], ...]:
+        """Each event's unit soft clause as ``(variable, weight)``, on read."""
+        events = len(self.var_map.var_of_event)
+        return tuple(zip(range(1, events + 1), self.weight[1:events + 1]))
 
     @property
     def hard(self) -> CnfFormula:
@@ -106,7 +107,7 @@ class WcnfInstance:
         """
         end = len(self.kids) - self.blocking
         clauses: list[Clause] = []
-        for g in range(len(self.soft) + 1, end):
+        for g in range(len(self.var_map.var_of_event) + 1, end):
             kids = self.kids[g]
             if self.ctl[g] < 0:
                 clauses.extend((-g, c) for c in kids)
@@ -124,7 +125,7 @@ class WcnfInstance:
         the CNF: a gate of fan-in ``k`` emits ``k + 1`` clauses, the root
         one and each blocking gate one."""
         end = len(self.kids) - self.blocking
-        gates = end - 1 - len(self.soft)
+        gates = end - 1 - len(self.var_map.var_of_event)
         return end - 1, sum(map(len, self.kids[:end])) + gates + 1 + self.blocking
 
 
@@ -170,9 +171,6 @@ def build_wcnf(tree: FaultTree) -> WcnfInstance:
     kids = [tuple(map(var_of_child, gate.children)) for gate in gates]
     head = num_events + 1  # variable 0 and the events: no children
     return WcnfInstance(
-        # -ln p, as ``to_log_space``; validation keeps p inside (0, 1).
-        soft=tuple(zip(range(1, num_events + 1),
-                       [-math.log(nodes[e].probability) for e in events])),
         var_map=VarMap(
             var_of_event=dict(zip(events, var_of.values())),
             event_of_var=dict(zip(var_of.values(), events)),
@@ -180,6 +178,9 @@ def build_wcnf(tree: FaultTree) -> WcnfInstance:
         ),
         ctl=(0,) * head + tuple([-1 if gate.op is AND else 1 for gate in gates]),
         kids=((),) * head + tuple(kids),
+        # -ln p, as ``to_log_space``; validation keeps p inside (0, 1).
+        weight=(0.0, *[-math.log(nodes[e].probability) for e in events])
+        + (0.0,) * len(gates),
         # Every node but the top has a parent, one in a tree; children are
         # distinct, so each shared node adds an edge.
         tree_shaped=sum(map(len, kids)) == len(order) - 1,

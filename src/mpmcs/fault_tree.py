@@ -204,6 +204,7 @@ def parse_fault_tree(text: str) -> FaultTree:
     if len(nodes) < len(raw_nodes):
         dup = next(i for i, k in Counter(r["id"] for r in raw_nodes).items() if k > 1)
         raise FaultTreeError(f"duplicate node id {dup!r}")
+    del doc, raw_nodes  # so the collector does not walk them during the walk below
     return FaultTree(name=name, nodes=nodes, top=top)
 
 

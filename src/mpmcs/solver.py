@@ -488,12 +488,20 @@ def extract_mpmcs(solution: Solution, instance: WcnfInstance,
 
 def add_blocking_clause(instance: WcnfInstance, events: frozenset[str]) -> WcnfInstance:
     """Forbid this exact cut set (and its supersets) in later solves: the
-    circuit gains a blocking gate, an AND over ``events``."""
+    circuit gains a blocking gate, an AND over ``events``.  The result
+    shares ``instance``'s tables and changes none of its lists: only the
+    blocked events get new parent lists, which end in the gate."""
     if not events:
         raise ValueError("cannot block the empty set")
     var_of = instance.var_map.var_of_event
+    if not events <= var_of.keys():
+        raise ValueError(f"cannot block unknown event {min(events - var_of.keys())!r}")
     kids = tuple(var_of[e] for e in sorted(events))
+    gate, parents = len(instance.kids), instance.parents + [[]]
+    for c in kids:
+        parents[c] = parents[c] + [gate]
     return replace(instance, ctl=instance.ctl + (-1,), kids=instance.kids + (kids,),
+                   weight=instance.weight + (0.0,), parents=parents,
                    blocking=instance.blocking + 1)
 
 

@@ -128,7 +128,7 @@ def reference_build_wcnf(t: FaultTree) -> WcnfInstance:
     var_of_event = {nid: v for nid, v in var_of.items() if v <= num_events}
     children = [c for gate_kids in kids for c in gate_kids]
     return WcnfInstance(
-        soft=tuple(soft),
+        weight=(0.0, *(w for _, w in soft)) + (0.0,) * (len(kids) - len(soft) - 1),
         var_map=VarMap(
             var_of_event=var_of_event,
             event_of_var={v: e for e, v in var_of_event.items()},

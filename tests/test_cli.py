@@ -11,8 +11,8 @@ from dataclasses import replace
 import pytest
 
 from helpers import tree
-from mpmcs import solver
-from mpmcs.cli import main
+from mpmcs import cli, solver
+from mpmcs.cli import build_parser, main
 from mpmcs.encoding import WcnfInstance, format_wcnf
 from mpmcs.fault_tree import parse_fault_tree, serialize_fault_tree
 from mpmcs.generator import GeneratorParams, random_fault_tree
@@ -163,6 +163,35 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 1
+
+
+def test_one_parser_serves_many_calls(capsys, fire_path, monkeypatch):
+    """``main`` keeps one parser for the process: each command, run in
+    turn, gives the exit code and stdout it gives through a fresh
+    ``build_parser()``, and a usage error leaves nothing behind for the
+    command after it."""
+    fire = str(fire_path)
+    commands = [
+        ["solve", fire], ["solve", fire, "--all-optima"], ["solve", fire, "--strategy", "bnb"],
+        ["solve"], ["check", fire], ["export-wcnf", fire], ["generate", "--nodes", "30"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        if argv[0] == "solve" and out:
+            out = {**json.loads(out), "elapsed_ms": None}
+        return code, out
+
+    shared = [outcome(argv) for argv in commands]
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert shared == [outcome(argv) for argv in commands]
+    assert [code for code, _ in shared] == [0, 0, 0, 1, 0, 0, 0]
 
 
 def test_check_agrees_on_fire_tree(capsys, fire_path):

@@ -189,6 +189,7 @@ def test_build_wcnf_equals_the_reference_compile(t):
     got, want = build_wcnf(t), reference_build_wcnf(t)
     assert got.ctl == want.ctl
     assert got.kids == want.kids
+    assert got.weight == want.weight
     assert got.soft == want.soft
     assert list(got.var_map.var_of_event.items()) == list(want.var_map.var_of_event.items())
     assert list(got.var_map.event_of_var.items()) == list(want.var_map.event_of_var.items())

@@ -1173,25 +1173,71 @@ def test_add_blocking_clause_is_pure(fire_instance):
        st.data())
 def test_blocking_leaves_the_parent_instance_alone(t, data):
     """A blocked instance shares no table its solves could change with the
-    instance it extends: the parent's gate table, parent index and weights
-    stay as they were, the parent still solves to the unblocked optimum,
-    and the blocked CNF is the reference compile's plus the clause."""
-    blocked = frozenset(data.draw(st.sets(st.sampled_from(sorted(t.event_ids)), min_size=1)))
-    instance = build_wcnf(t)
-    before = copy.deepcopy((instance.ctl, instance.kids, instance.parents, instance.weight))
-    child = add_blocking_clause(instance, blocked)
-    try:
-        solve_branch_and_bound(child, SolverConfig())
-    except UnsatisfiableError:
-        pass
-    assert (instance.ctl, instance.kids, instance.parents, instance.weight) == before
-    sol = solve_branch_and_bound(instance, SolverConfig())
+    instances it extends: along a chain of blocks, each one's gate table,
+    parent index and weights stay as they were, the unblocked instance
+    still solves to the unblocked optimum, and the last CNF is the
+    reference compile's plus one clause per block."""
+    events = sorted(t.event_ids)
+    chain = [build_wcnf(t)]
+    before = [copy.deepcopy((chain[0].ctl, chain[0].kids, chain[0].parents, chain[0].weight))]
+    clauses = []
+    for _ in range(data.draw(st.integers(1, 4), label="blocks")):
+        blocked = data.draw(st.frozensets(st.sampled_from(events), min_size=1))
+        child = add_blocking_clause(chain[-1], blocked)
+        try:
+            solve_branch_and_bound(child, SolverConfig())
+        except UnsatisfiableError:
+            pass
+        var_of = child.var_map.var_of_event
+        clauses.append(tuple(-var_of[e] for e in sorted(blocked)))
+        chain.append(child)
+        before.append(copy.deepcopy((child.ctl, child.kids, child.parents, child.weight)))
+    assert [(i.ctl, i.kids, i.parents, i.weight) for i in chain] == before
+    sol = solve_branch_and_bound(chain[0], SolverConfig())
     assert sol.proven
     assert sol.weight == pytest.approx(oracle_mpmcs(t).log_weight, rel=1e-9, abs=0)
     want = reference_build_wcnf(t).hard
-    var_of = instance.var_map.var_of_event
-    clause = tuple(-var_of[e] for e in sorted(blocked))
-    assert child.hard == replace(want, clauses=want.clauses + (clause,))
+    assert chain[-1].hard == replace(want, clauses=want.clauses + tuple(clauses))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(strategies.fault_trees(), strategies.dags()), st.data())
+def test_blocked_instances_share_the_tree_tables(t, data):
+    """Along a chain of blocks, each instance's parent index and weights
+    equal a fresh derivation from its own gate table and the tree's event
+    weights; the entries of the events a block leaves out are the
+    instance's own list objects, the blocked events' entries new ones."""
+    events = sorted(t.event_ids)
+    weights = event_weights(t)
+    instance = build_wcnf(t)
+    for _ in range(data.draw(st.integers(1, 4), label="blocks")):
+        size = data.draw(st.integers(1, min(3, len(events))), label="size")
+        blocked = data.draw(st.frozensets(st.sampled_from(events), min_size=size, max_size=size))
+        child = add_blocking_clause(instance, blocked)
+        parents = [[] for _ in child.kids]
+        for g, kids in enumerate(child.kids):
+            for c in kids:
+                parents[c].append(g)
+        weight = [0.0] * len(child.kids)
+        for e, v in child.var_map.var_of_event.items():
+            weight[v] = weights[e]
+        assert child.parents == parents
+        assert list(child.weight) == weight
+        blocked_vars = {child.var_map.var_of_event[e] for e in blocked}
+        assert [entry is child.parents[v] for v, entry in enumerate(instance.parents)] == [
+            v not in blocked_vars for v in range(len(instance.parents))
+        ]
+        instance = child
+
+
+@pytest.mark.parametrize("events, message", [
+    (frozenset(), "empty set"),
+    (frozenset({"nope"}), "unknown event 'nope'"),
+    (frozenset({"x1", "nope"}), "unknown event 'nope'"),
+])
+def test_blocking_rejects_sets_it_cannot_block(fire_instance, events, message):
+    with pytest.raises(ValueError, match=message):
+        add_blocking_clause(fire_instance, events)
 
 
 def test_enumerate_optima_unique(fire_instance, fire_weights):
