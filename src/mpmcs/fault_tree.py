@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping, NamedTuple, Union
 
 
@@ -92,6 +93,8 @@ def _validate(tree: FaultTree) -> tuple[list[str], list[str]]:
     nodes = tree.nodes
     if not nodes:
         raise FaultTreeError("tree has no nodes")
+    if not isinstance(tree.name, str) or not isinstance(tree.top, str):
+        raise FaultTreeError("'name' and 'top' must be strings")
     if tree.top not in nodes:
         raise FaultTreeError(f"top {tree.top!r} is not a node")
     GREY, BLACK = 1, 2
@@ -108,6 +111,8 @@ def _validate(tree: FaultTree) -> tuple[list[str], list[str]]:
                 node = nodes.get(child)
                 if node is None:
                     raise FaultTreeError(f"gate {nid!r} references unknown child {child!r}")
+                if not isinstance(child, str):
+                    raise FaultTreeError(f"node id {child!r} is not a string")
                 if node.id != child:
                     raise FaultTreeError(f"node keyed {child!r} carries id {node.id!r}")
                 if isinstance(node, BasicEvent):
@@ -144,6 +149,8 @@ _EVENT_KEYS = {"id", "type", "prob"}
 _OPS = {op.value: op for op in GateOp}
 # A NamedTuple's own constructor without its Python-level ``__new__``.
 _new = tuple.__new__
+# Between two children, as indent=2 writes it (no backslash in f-string braces before 3.12).
+_CHILD_SEP = ",\n        "
 
 
 def parse_fault_tree(text: str) -> FaultTree:
@@ -209,16 +216,23 @@ def parse_fault_tree(text: str) -> FaultTree:
 
 
 def serialize_fault_tree(tree: FaultTree) -> str:
-    """Inverse of parse_fault_tree; node order is preserved."""
-    out = []
-    for node in tree.nodes.values():
-        if isinstance(node, Gate):
-            out.append(
-                {"id": node.id, "type": node.op.value, "children": list(node.children)}
-            )
-        else:
-            out.append({"id": node.id, "type": "basic", "prob": node.probability})
-    return json.dumps({"name": tree.name, "top": tree.top, "nodes": out}, indent=2)
+    """Inverse of parse_fault_tree; node order is preserved.
+
+    Writes the bytes ``json.dumps(doc, indent=2)`` writes for the dict
+    form of the tree, one template per node: strings through the C
+    encoder ``json.dumps`` uses for them, probabilities (finite, as
+    validation keeps them) through ``float.__repr__`` as ``json`` does.
+    """
+    nodes = ",\n".join(
+        f'    {{\n      "id": {_quote(n.id)},\n      "type": "{n.op.value}",\n'
+        f'      "children": [\n        {_CHILD_SEP.join(map(_quote, n.children))}\n      ]\n    }}'
+        if isinstance(n, Gate) else
+        f'    {{\n      "id": {_quote(n.id)},\n      "type": "basic",\n'
+        f'      "prob": {float.__repr__(n.probability)}\n    }}'
+        for n in tree.nodes.values()
+    )
+    return (f'{{\n  "name": {_quote(tree.name)},\n  "top": {_quote(tree.top)},\n'
+            f'  "nodes": [\n{nodes}\n  ]\n}}')
 
 
 def dualize(tree: FaultTree) -> FaultTree:

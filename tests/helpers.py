@@ -10,6 +10,7 @@ no code with it, that tests require it to equal.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -138,6 +139,17 @@ def reference_build_wcnf(t: FaultTree) -> WcnfInstance:
         kids=tuple(kids),
         tree_shaped=len(children) == len(set(children)),
     )
+
+
+def reference_serialize_fault_tree(t: FaultTree) -> str:
+    """``serialize_fault_tree`` as ``json.dumps`` of the tree's dict form."""
+    out = []
+    for node in t.nodes.values():
+        if isinstance(node, Gate):
+            out.append({"id": node.id, "type": node.op.value, "children": list(node.children)})
+        else:
+            out.append({"id": node.id, "type": "basic", "prob": node.probability})
+    return json.dumps({"name": t.name, "top": t.top, "nodes": out}, indent=2)
 
 
 def reference_complete_assignment(instance: WcnfInstance, true_events) -> tuple[int, ...]:

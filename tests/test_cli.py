@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import subprocess
@@ -276,6 +277,15 @@ def test_generate_to_stdout_matches_file_output(capsys, tmp_path):
     target = tmp_path / "gen.json"
     run_cli(capsys, "generate", "--nodes", "12", "--seed", "2", "-o", str(target))
     assert target.read_text(encoding="utf-8") == out
+
+
+def test_generate_output_is_pinned(capsys):
+    """``generate`` writes ``json.dumps(indent=2)``'s bytes for its tree."""
+    code, out, _ = run_cli(capsys, "generate", "--nodes", "2000", "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "82638b11522da435a52e54f84dc22c9189fb8b431002a34dcd3392e9d79a80d9"
+    )
 
 
 def test_generate_rejects_bad_params(capsys):

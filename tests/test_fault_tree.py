@@ -7,12 +7,16 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies
-from helpers import tree
+from helpers import reference_serialize_fault_tree, tree
 from mpmcs.encoding import build_wcnf
 from mpmcs.fault_tree import (
+    BasicEvent,
+    FaultTree,
     FaultTreeError,
+    Gate,
     GateOp,
     dualize,
     evaluate,
@@ -76,6 +80,16 @@ def test_cycle_rejected():
 def test_unreachable_node_rejected():
     with pytest.raises(FaultTreeError):
         tree({"t": ("or", ["a"]), "a": 0.1, "b": 0.2}, top="t")
+
+
+@pytest.mark.parametrize("name, nodes, top", [
+    (7, {"a": BasicEvent("a", 0.5)}, "a"),
+    ("t", {1: BasicEvent(1, 0.5)}, 1),
+    ("t", {"g": Gate("g", GateOp.OR, (1,)), 1: BasicEvent(1, 0.5)}, "g"),
+], ids=["name", "top", "child"])
+def test_ids_name_and_top_must_be_strings(name, nodes, top):
+    with pytest.raises(FaultTreeError, match="string"):
+        FaultTree(name, nodes, top)
 
 
 def test_event_as_top_is_legal():
@@ -159,16 +173,52 @@ def test_serialize_preserves_node_order(fire_tree):
     assert [n["id"] for n in doc["nodes"]] == list(fire_tree.nodes)
 
 
-@settings(max_examples=100)
-@given(strategies.fault_trees())
+# Ids with quotes, backslashes, control characters, a lone surrogate and
+# non-ASCII text; probabilities at both ends of the open interval.
+_awkward_text = st.text(st.one_of(
+    st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\u00e9\U0001f600'), st.characters()))
+_awkward_probability = st.one_of(
+    st.sampled_from([5e-324, 1 - 2**-53, 0.1]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+@st.composite
+def _relabelled(draw, shared: bool) -> FaultTree:
+    """``strategies.fault_trees`` with awkward ids, name and probabilities."""
+    t = draw(strategies.fault_trees(shared=shared))
+    ids = draw(st.lists(_awkward_text, min_size=len(t.nodes), max_size=len(t.nodes), unique=True))
+    new = dict(zip(t.nodes, ids))
+    nodes = {
+        new[nid]: Gate(new[nid], n.op, tuple(new[c] for c in n.children))
+        if isinstance(n, Gate) else BasicEvent(new[nid], draw(_awkward_probability))
+        for nid, n in t.nodes.items()
+    }
+    return FaultTree(draw(_awkward_text), nodes, new[t.top])
+
+
+def _check_serialization(t):
+    """The writer emits ``json.dumps(indent=2)``'s bytes, which parse back to ``t``."""
+    text = serialize_fault_tree(t)
+    assert text == reference_serialize_fault_tree(t)
+    assert parse_fault_tree(text) == t
+
+
+@settings(max_examples=200)
+@given(_relabelled(shared=False))
 def test_parse_serialize_identity(t):
-    assert parse_fault_tree(serialize_fault_tree(t)) == t
+    _check_serialization(t)
 
 
-@settings(max_examples=100)
-@given(strategies.fault_trees(shared=True))
+@settings(max_examples=200)
+@given(_relabelled(shared=True))
 def test_parse_serialize_identity_with_sharing(t):
-    assert parse_fault_tree(serialize_fault_tree(t)) == t
+    _check_serialization(t)
+
+
+@pytest.mark.parametrize("which", ["fire", "single-event"])
+def test_serialize_writes_the_bytes_of_json_dumps_on_fixed_trees(fire_tree, which):
+    _check_serialization(fire_tree if which == "fire" else tree({"e": 0.5}, top="e"))
 
 
 def test_dualize_swaps_gates(fire_tree):
