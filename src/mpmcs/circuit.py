@@ -24,20 +24,17 @@ class Propagator:
     holds ``-c``, so does the gate; a gate with ``-c`` gives it to every
     child; a gate with ``c`` whose children all hold ``-c`` but one open
     child forces that child to ``c``: unit propagation on each gate's
-    Tseitin clauses.  ``ctl``, ``kids``, ``parents`` and ``weight`` are
-    the instance's own tables (``ctl[v]`` is a gate's ``c``: -1 AND, 1
-    OR); ``_other[v]`` counts the children of ``v`` holding ``-c``.
+    Tseitin clauses.  ``ctl``, ``kids`` and ``parents`` are the
+    instance's own tables (``ctl[v]`` is a gate's ``c``: -1 AND, 1 OR);
+    ``_other[v]`` counts the children of ``v`` holding ``-c``.
     ``assert_units`` asserts the root true and every blocking gate false.
-    The running ``cost``, the weight of the events assigned true, serves
-    pruning only, never reported totals.
     """
 
-    __slots__ = ("val", "weight", "ctl", "kids", "parents", "_other", "_root",
-                 "_blocking", "trail", "level_starts", "qhead", "cost", "propagations")
+    __slots__ = ("val", "ctl", "kids", "parents", "_other", "_root",
+                 "_blocking", "trail", "level_starts", "qhead", "propagations")
 
     def __init__(self, instance: WcnfInstance):
-        self.ctl, self.kids = instance.ctl, instance.kids
-        self.parents, self.weight = instance.parents, instance.weight
+        self.ctl, self.kids, self.parents = instance.ctl, instance.kids, instance.parents
         n = len(self.ctl)
         self.val = [0] * n
         self._other = [0] * n
@@ -45,7 +42,6 @@ class Propagator:
         self.trail: list[int] = []
         self.level_starts: list[int] = []
         self.qhead = 0
-        self.cost = 0.0
         self.propagations = 0
 
     def fork(self) -> "Propagator":
@@ -61,8 +57,6 @@ class Propagator:
         if self.val[v]:
             return self.val[v] == x
         self.val[v] = x
-        if x > 0:
-            self.cost += self.weight[v]
         for p in self.parents[v]:
             if x != self.ctl[p]:
                 self._other[p] += 1
@@ -125,8 +119,6 @@ class Propagator:
         del self.level_starts[level:]
         for lit in reversed(self.trail[pos:]):
             v, x = (lit, 1) if lit > 0 else (-lit, -1)
-            if x > 0:
-                self.cost -= self.weight[v]
             self.val[v] = 0
             for p in self.parents[v]:
                 if x != self.ctl[p]:
@@ -262,24 +254,27 @@ def _residual_bound(instance: WcnfInstance, val: Sequence[int],
 
 
 class _BoundTable:
-    """A copy of a root ``_residual_bound`` table, kept current on one
-    search's trail.
+    """A node's cost and a copy of a root ``_residual_bound`` table, kept
+    current on one search's trail; ``cost + bound[top]`` bounds every
+    completion of the node.
 
+    ``cost`` starts from the root's cost (the weight of the events true
+    at the root, or the core pass's ``lb``) and adds the entries zeroed
+    by events turning true: their weight in the table's own weights.
     ``update`` follows a clean propagate: it sets the entries of the
     variables the newest decision level assigned (a true event costs 0,
     a false variable is ``inf``; a true gate's entry still comes from its
     children) and ``_settle``s their ancestors with the full pass's own
     expressions, so the floats are those a full pass would compute.
-    ``cost`` sums the entries zeroed by events turning true: their weight
-    in the table's own weights.  ``undo(level)`` restores the entries
-    logged since that level, and the cost, as ``Propagator.backtrack``
+    ``undo(level)`` restores the entries logged since that level, and
+    the cost recorded there, bit for bit, as ``Propagator.backtrack``
     does for values; a level whose propagate conflicted was never
     updated.
     """
 
-    def __init__(self, instance: WcnfInstance, bound: Sequence[float]):
+    def __init__(self, instance: WcnfInstance, cost: float, bound: Sequence[float]):
         self.bound = list(bound)
-        self.cost = 0.0
+        self.cost = cost
         self._instance = instance
         self._combine = math.fsum if instance.tree_shaped else max
         self._log: list[tuple[int, float]] = []  # (variable, entry before)
@@ -330,13 +325,15 @@ def _cheapest_events(instance: WcnfInstance, bound: Sequence[float]) -> list[str
     return [instance.var_map.event_of_var[v] for v in seen if not ctl[v]]
 
 
-def _cores(instance: WcnfInstance, prop: Propagator, target: float,
+def _cores(instance: WcnfInstance, val: Sequence[int], lb: float, target: float,
            deadline: float) -> tuple[float, list[float], Optional[list[str]]]:
     """Weight-split path sets (the cores of core-guided MaxSAT): a bound
     ``lb`` and residual event weights ``r`` such that every cut set C of
     the root weighs at least ``lb + sum(r[e] for e in C)``.
 
-    Events true at the root are in every C; their weight goes to ``lb``.
+    ``val`` holds the root's values and ``lb`` starts as its cost: events
+    true at the root are in every C, so their weight is in ``lb`` and
+    their residual is 0.
     Each round takes the zero-residual events as true and walks down from
     the root over false nodes to a path set P, whose joint non-occurrence
     keeps the top from failing, so that every C meets it: every child of
@@ -352,10 +349,8 @@ def _cores(instance: WcnfInstance, prop: Propagator, target: float,
     at the root 0.  Each round ``_settle``s only the ancestors of the
     events whose residuals it lowered: the last path set (at first, every
     event)."""
-    val, ctl, kids, weight = prop.val, prop.ctl, prop.kids, prop.weight
-    top = instance.var_map.root_var
-    r = [0.0 if x > 0 else w for x, w in zip(val, weight)]
-    lb = math.fsum(w for x, w in zip(val, weight) if x > 0)
+    ctl, kids, top = instance.ctl, instance.kids, instance.var_map.root_var
+    r = [0.0 if x > 0 else w for x, w in zip(val, instance.weight)]
     score = [0.0] * len(val)  # all zero: a consistent start for _settle
     events = instance.var_map.event_of_var
     core, m = [v for v in events if val[v] >= 0], 0.0

@@ -113,9 +113,16 @@ def _validate(tree: FaultTree) -> tuple[list[str], list[str]]:
                     raise FaultTreeError(f"gate {nid!r} references unknown child {child!r}")
                 if not isinstance(child, str):
                     raise FaultTreeError(f"node id {child!r} is not a string")
+                event = isinstance(node, BasicEvent)
+                if not event:
+                    if not isinstance(node, Gate):
+                        raise FaultTreeError(f"node {child!r} is a {type(node).__name__}, "
+                                             "not a Gate or BasicEvent")
+                    if not isinstance(node.op, GateOp):
+                        raise FaultTreeError(f"gate {child!r}: op {node.op!r} is not a GateOp")
                 if node.id != child:
                     raise FaultTreeError(f"node keyed {child!r} carries id {node.id!r}")
-                if isinstance(node, BasicEvent):
+                if event:
                     p = node.probability
                     if not (isinstance(p, float) and 0.0 < p < 1.0):
                         raise FaultTreeError(f"basic event {child!r}: probability "

@@ -179,53 +179,55 @@ def _prune_slack(incumbent: float) -> float:
 @dataclass(frozen=True)
 class _Root:
     """A solve's starting state, set up once and shared by its searches,
-    which fork ``prop`` and change nothing here.  Budgets and
-    ``SearchStats.elapsed`` count from ``start``."""
+    which fork ``prop`` and change nothing here.  Each of ``tables`` is a
+    ``(cost, entries)`` pair from which a search starts a ``_BoundTable``:
+    the weights' table, and the core pass's residual table when it ran.
+    Budgets and ``SearchStats.elapsed`` count from ``start``."""
 
     instance: WcnfInstance
     prop: Propagator  # root and blocking gates asserted and propagated
-    bound: list[float]  # the root ``_residual_bound`` table
+    tables: tuple[tuple[float, list[float]], ...]
     warm: Optional[tuple[int, ...]]  # the warm start, unless blocked
     warm_w: float  # its weight, or inf
     start: float
     lower: float  # the root's lower bound, as ``_search`` bounds a node
-    lb: float = 0.0  # the core pass's bound, when it ran
-    rbound: Optional[list[float]] = None  # the root table over its residuals
 
 
 def _root(instance: WcnfInstance, time_budget: float = math.inf) -> _Root:
-    """Set up a solve: propagate the root and walk the root table to a
-    warm start, optimal on trees, so those prove with no decisions (and
+    """Set up a solve: propagate the root and walk the weights' table to
+    a warm start, optimal on trees, so those prove with no decisions (and
     their table, exact, is never weaker than the core pass's bound).
+    That table's cost is the weight of the events true at the root.
     Under sharing, while the root is open, the core pass adds a second
-    bound and warm start, its zero-residual events swept to a minimal cut
-    set.  The budget stops only the core pass, so a search out of time
-    still returns a warm start; a pass cut short makes no second one."""
+    table, whose cost is the pass's ``lb``, and a second warm start, its
+    zero-residual events swept to a minimal cut set.  The budget stops
+    only the core pass, so a search out of time still returns a warm
+    start; a pass cut short makes no second one."""
     start = time.perf_counter()
     prop = Propagator(instance)
     if not prop.assert_units():
         raise UnsatisfiableError("hard constraints conflict at root level")
-    bound = _residual_bound(instance, prop.val, prop.weight)
+    val, weight, top = prop.val, instance.weight, instance.var_map.root_var
+    cost, bound = _exact_weight(val, instance), _residual_bound(instance, val, weight)
     walked = complete_assignment(instance, _cheapest_events(instance, bound))
     # Blocking gates over several events can rule the walked set out.
     warm = walked if _meets_hard(instance, walked) else None
     warm_w = math.inf if warm is None else _exact_weight(warm, instance)
     target = warm_w - _prune_slack(warm_w)
-    lower = prop.cost + bound[instance.var_map.root_var]
-    if instance.tree_shaped or lower >= target:
-        return _Root(instance, prop, bound, warm, warm_w, start, lower)
-    lb, residual, zero = _cores(instance, prop, target, start + time_budget)
-    if zero is not None:
-        var_of = instance.var_map.var_of_event
-        cut = _sweep(instance, complete_assignment(instance, zero),
-                     lambda e: prop.weight[var_of[e]])
-        swept = complete_assignment(instance, cut)
-        swept_w = _exact_weight(swept, instance)
-        if _meets_hard(instance, swept) and swept_w < warm_w:
-            warm, warm_w = swept, swept_w
-    rbound = _residual_bound(instance, prop.val, residual)
-    lower = max(lower, lb + rbound[instance.var_map.root_var])
-    return _Root(instance, prop, bound, warm, warm_w, start, lower, lb, rbound)
+    tables = [(cost, bound)]
+    if not instance.tree_shaped and cost + bound[top] < target:
+        lb, residual, zero = _cores(instance, val, cost, target, start + time_budget)
+        if zero is not None:
+            var_of = instance.var_map.var_of_event
+            cut = _sweep(instance, complete_assignment(instance, zero),
+                         lambda e: weight[var_of[e]])
+            swept = complete_assignment(instance, cut)
+            swept_w = _exact_weight(swept, instance)
+            if _meets_hard(instance, swept) and swept_w < warm_w:
+                warm, warm_w = swept, swept_w
+        tables.append((lb, _residual_bound(instance, val, residual)))
+    lower = max(c + entries[top] for c, entries in tables)
+    return _Root(instance, prop, tuple(tables), warm, warm_w, start, lower)
 
 
 def _closed(root: _Root, config: SolverConfig,
@@ -251,13 +253,11 @@ def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event]
     frontier.  Only a root that leaves a gap (see ``_closed``) is forked.
 
     The incumbent starts as the root's warm start.  A node is pruned when
-    its bound cannot beat the incumbent: its cost plus the root table's
-    entry for the top or, where the core pass ran, the larger of that and
-    the pass's ``lb`` plus the node's residual cost and residual table
-    entry.  Each table is a ``_BoundTable`` kept current along the trail
-    (see there).  A node branches on the next open event in the branching
-    order after its own; gate propagation forces the gates once the
-    events settle.
+    its bound cannot beat the incumbent: the largest ``cost + bound[top]``
+    over the root's tables, each a ``_BoundTable`` kept current along the
+    trail (see there).  A node branches on the next open event in the
+    branching order, sorted once by weight, after its own; gate
+    propagation forces the gates once the events settle.
 
     A node is one decision with a parent link, ``(parent, depth,
     position in order, value)``; the root is None.  Depth first, the
@@ -274,9 +274,11 @@ def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event]
     instance = root.instance
     deadline = root.start + config.time_budget
     prop = root.prop.fork()
-    tables = [_BoundTable(instance, b) for b in (root.bound, root.rbound) if b is not None]
-    bound, rtable = tables[0].bound, tables[-1]
-    order: list[int] = []  # the branching order, sorted at the first branch
+    tables = [_BoundTable(instance, cost, entries) for cost, entries in root.tables]
+    var_of = instance.var_map.var_of_event
+    # Stable, so equal weights keep event-id order.
+    order = sorted(map(var_of.__getitem__, sorted(var_of)), key=instance.weight.__getitem__,
+                   reverse=config.var_order is VarOrder.DESCENDING_WEIGHT)
     top = instance.var_map.root_var
     decisions = 0
 
@@ -289,11 +291,6 @@ def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event]
     lower, expand = root.lower, True  # ``_closed`` found the root open
     while True:
         if expand:
-            if not order:  # stable, so equal weights keep event-id order
-                var_of = instance.var_map.var_of_event
-                order = sorted(map(var_of.__getitem__, sorted(var_of)),
-                               key=prop.weight.__getitem__,
-                               reverse=config.var_order is VarOrder.DESCENDING_WEIGHT)
             # Every event before this node's was set when it decided.
             pos = node[2] + 1 if node else 0
             while pos < len(order) and prop.val[order[pos]] != 0:
@@ -349,9 +346,7 @@ def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event]
                     t.update(prop)
                 path.append(step)
         decisions += 1
-        lower = prop.cost + bound[top] if clean else math.inf
-        if clean and root.rbound is not None:
-            lower = max(lower, root.lb + rtable.cost + rtable.bound[top])
+        lower = max(t.cost + t.bound[top] for t in tables) if clean else math.inf
         expand = lower < incumbent_w - _prune_slack(incumbent_w)
 
     if proven and incumbent is None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,20 @@ def test_unreachable_node_rejected():
 def test_ids_name_and_top_must_be_strings(name, nodes, top):
     with pytest.raises(FaultTreeError, match="string"):
         FaultTree(name, nodes, top)
+
+
+@pytest.mark.parametrize("node, match", [
+    (Gate("g", "and", ("a", "b")), "gate 'g': op 'and' is not a GateOp"),
+    (("g", GateOp.AND, ("a", "b")), "node 'g' is a tuple, not a Gate or BasicEvent"),
+], ids=["string-op", "not-a-node"])
+def test_nodes_must_be_gates_with_a_gate_op_or_events(node, match):
+    """Trees built in code get the parser's checks: a gate whose op is a
+    string, which evaluation and encoding would read as an OR, and a
+    value that is no node are both refused where the walk meets them."""
+    nodes = {"t": Gate("t", GateOp.OR, ("a", "g")), "g": node,
+             "a": BasicEvent("a", 0.5), "b": BasicEvent("b", 0.5)}
+    with pytest.raises(FaultTreeError, match=re.escape(match)):
+        FaultTree("t", nodes, "t")
 
 
 def test_event_as_top_is_legal():

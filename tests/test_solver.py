@@ -154,21 +154,30 @@ def test_propagator_conflict_below_decisions():
     assert prop.val[1] == -1
 
 
-def test_propagator_cost_and_backtrack():
-    prop = _root_prop({"a": math.exp(-2.5), "b": math.exp(-4.0),
-                       "top": ("or", ["a", "b"])}, top="top")
-    prop.assert_units()
+def test_bound_table_cost_and_undo():
+    """The weights' table adds each event's weight as it turns true, and
+    ``undo`` puts back the cost of the level it returns to exactly."""
+    instance = build_wcnf(tree({"a": math.exp(-2.5), "b": math.exp(-4.0),
+                                "top": ("or", ["a", "b"])}, top="top"))
+    root = solver._root(instance)
+    prop, table = root.prop.fork(), solver._BoundTable(instance, *root.tables[0])
+    assert table.cost == 0.0
     prop.decide(1, True)
-    prop.propagate()
-    assert prop.cost == pytest.approx(2.5)
+    assert prop.propagate()
+    table.update(prop)
+    after_a = table.cost
+    assert after_a == pytest.approx(2.5)
     prop.decide(2, True)
-    prop.propagate()
-    assert prop.cost == pytest.approx(6.5)
+    assert prop.propagate()
+    table.update(prop)
+    assert table.cost == pytest.approx(6.5)
     prop.backtrack(1)
-    assert prop.cost == pytest.approx(2.5)
+    table.undo(1)
+    assert table.cost == after_a
     assert prop.val[2] == 0
     prop.backtrack(0)
-    assert prop.cost == 0.0
+    table.undo(0)
+    assert table.cost == 0.0
     assert prop.val[1] == 0
 
 
@@ -193,9 +202,6 @@ def test_propagator_matches_clause_propagation(shared, data):
         assert clean == (want is not None)
         if clean:
             assert prop.val[:cnf.num_vars + 1] == want
-            assert prop.cost == pytest.approx(
-                math.fsum(w for v, w in instance.soft if want[v] > 0), abs=1e-9
-            )
 
     clean = prop.assert_units()
     check(clean)
@@ -292,10 +298,7 @@ def _assert_strategies_match_oracle(t, blocked=None):
                 solve_branch_and_bound(instance, SolverConfig())
             return
         want = min(allowed)
-    start = solver._root(instance)
-    bound = start.bound[root]
-    assert start.prop.cost + bound <= want + PRUNE_EPS
-    assert start.lb <= want + PRUNE_EPS
+    assert solver._root(instance).lower <= want + PRUNE_EPS
     for config in ALL_CONFIGS:
         sol = _solve(instance, config)
         assert sol.proven, config.solver_id
@@ -539,11 +542,11 @@ def test_core_pass_stops_at_the_budget():
     bound, and its first warm start, which the search returns unproven."""
     instance = build_wcnf(seeded_dag(2000, 0.2, 1))
     root = solver._root(instance, 1e-9)
-    assert root.rbound is not None
-    assert root.lb == pytest.approx(root.prop.cost, rel=1e-12)
-    assert root.lb < solver._root(instance).lb
+    (cost, bound), (lb, _) = root.tables
+    assert lb == cost
+    assert lb < solver._root(instance).tables[1][0]
     assert root.warm == complete_assignment(
-        instance, solver._cheapest_events(instance, root.bound)
+        instance, solver._cheapest_events(instance, bound)
     )
     sol = solve_branch_and_bound(instance, SolverConfig(time_budget=1e-6))
     assert not sol.proven
@@ -561,7 +564,7 @@ def test_core_pass_skips_tree_shaped_instances(monkeypatch):
     big = build_wcnf(random_fault_tree(GeneratorParams(nodes=2000, seed=1)))
     for instance in (_tied_tree_second_solve(), big):
         assert instance.tree_shaped
-        assert solver._root(instance).rbound is None
+        assert len(solver._root(instance).tables) == 1
         assert solve_branch_and_bound(instance, SolverConfig()).proven
 
 
@@ -600,10 +603,10 @@ def test_frontier_limit_raises(monkeypatch):
 def test_branch_costs_grow_along_paths():
     t = small_random_tree(17, max_nodes=25)
     instance = build_wcnf(t)
-    prop = Propagator(instance)
-    assert prop.assert_units()
+    root = solver._root(instance)
+    prop, table = root.prop.fork(), solver._BoundTable(instance, *root.tables[0])
     order = sorted(instance.var_map.var_of_event.values())
-    path_costs = [prop.cost]  # cost after each decision on the current path
+    path_costs = [table.cost]  # cost after each decision on the current path
     decisions = 0
 
     def descend(depth: int) -> None:
@@ -614,14 +617,15 @@ def test_branch_costs_grow_along_paths():
         for value in (False, True):
             decisions += 1
             prop.decide(var, value)
-            assert prop.cost >= path_costs[-1] - 1e-9
             if prop.propagate():
-                assert prop.cost >= path_costs[-1] - 1e-9
-                path_costs.append(prop.cost)
+                table.update(prop)
+                assert table.cost >= path_costs[-1]
+                path_costs.append(table.cost)
                 descend(depth + 1)
                 path_costs.pop()
             prop.backtrack(depth)
-            assert prop.cost == pytest.approx(path_costs[-1], abs=1e-9)
+            table.undo(depth)
+            assert table.cost == path_costs[-1]
 
     descend(0)
     assert decisions > 2, "search must have explored below the root"
@@ -632,17 +636,19 @@ def _walk_bound_table(instance, t, blocked=frozenset()) -> None:
     ``_BoundTable``s beside a fork of its ``Propagator``; after every
     clean propagate and every backtrack each table must equal the full
     pass exactly.  Where the core pass ran, the residual table's cost
-    must be the residual weight of the true events, and at every clean
-    node its bound must not exceed the least weight of a cut set of
-    ``t`` that extends the node's assignment, by brute force."""
+    must be its ``lb`` plus the residual weight of the true events, and
+    at every clean node its bound must not exceed the least weight of a
+    cut set of ``t`` that extends the node's assignment, by brute force."""
     try:
         root = solver._root(instance)
     except UnsatisfiableError:
         return
     prop = root.prop.fork()
-    table = solver._BoundTable(instance, root.bound)
-    rtable = None if root.rbound is None else solver._BoundTable(instance, root.rbound)
-    residual = root.rbound  # an event's entry is its residual weight at the root
+    table, *rest = [solver._BoundTable(instance, *pair) for pair in root.tables]
+    rtable = rest[0] if rest else None
+    # Read only where the core pass ran: its ``lb``, and its root table,
+    # where an event's entry is its residual weight.
+    lb, residual = root.tables[-1]
     top = instance.var_map.root_var
     events = instance.var_map.var_of_event
     weights = event_weights(t)
@@ -651,20 +657,20 @@ def _walk_bound_table(instance, t, blocked=frozenset()) -> None:
             for cut in satisfying_event_sets(t) if not blocked or not blocked <= cut]
 
     def check(clean: bool) -> None:
-        assert table.bound == _residual_bound(instance, prop.val, prop.weight)
+        assert table.bound == _residual_bound(instance, prop.val, instance.weight)
         if rtable is None:
             return
         assert rtable.bound == _residual_bound(instance, prop.val, residual)
         true = [v for v in events.values() if prop.val[v] > 0]
         assert rtable.cost == pytest.approx(
-            math.fsum(residual[v] for v in true), rel=1e-12, abs=1e-12
+            math.fsum([lb] + [residual[v] for v in true]), rel=1e-12, abs=1e-12
         )
         if clean:
             on = sum(1 << v for v in true)
             off = sum(1 << v for v in events.values() if prop.val[v] < 0)
             least = min((w for cut, w in cuts if cut & (on | off) == on),
                         default=math.inf)
-            lower = root.lb + rtable.cost + rtable.bound[top]
+            lower = rtable.cost + rtable.bound[top]
             assert lower <= least + PRUNE_EPS * max(1.0, least)
 
     def descend(depth: int) -> None:
@@ -705,10 +711,64 @@ def test_bound_table_matches_full_pass(shared, data):
         _walk_bound_table(add_blocking_clause(instance, blocked), t, blocked)
 
 
+@pytest.mark.parametrize("shared", [False, True], ids=["tree", "dag"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_bound_tables_keep_each_node_cost(shared, data):
+    """Random decide, propagate and backtrack sequences, with 0-2 blocked
+    sets, drive the root's tables beside a fork of its propagator.  After
+    each clean propagate, each table's ``cost + bound[top]`` is its cost
+    at the root plus the weight, in its own root entries, of the events
+    true since, plus a fresh full pass's bound; after ``undo(level)``
+    each cost is the one recorded at that level, bit for bit."""
+    t = data.draw(strategies.fault_trees(shared=shared))
+    instance = build_wcnf(t)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        blocked = data.draw(st.sets(st.sampled_from(sorted(t.event_ids)), min_size=1))
+        instance = add_blocking_clause(instance, frozenset(blocked))
+    try:
+        root = solver._root(instance)
+    except UnsatisfiableError:
+        return
+    prop = root.prop.fork()
+    tables = [solver._BoundTable(instance, *pair) for pair in root.tables]
+    top, events = instance.var_map.root_var, instance.var_map.event_of_var
+    costs: list[list[float]] = []  # per decision level, the costs before it
+
+    def check() -> None:
+        true = [v for v in events if prop.val[v] > 0]
+        assert tables[0].cost == pytest.approx(solver._exact_weight(prop.val, instance),
+                                               rel=1e-12)
+        for table, (cost, entries) in zip(tables, root.tables):
+            want = (math.fsum([cost] + [entries[v] for v in true])
+                    + _residual_bound(instance, prop.val, entries)[top])
+            assert table.cost + table.bound[top] == pytest.approx(want, rel=1e-12)
+
+    check()
+    for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
+        open_events = [v for v in events if prop.val[v] == 0]
+        if open_events and (not costs or data.draw(st.booleans())):
+            costs.append([table.cost for table in tables])
+            prop.decide(data.draw(st.sampled_from(open_events)), data.draw(st.booleans()))
+            if prop.propagate():
+                for table in tables:
+                    table.update(prop)
+                check()
+                continue
+        if costs:  # after a conflict, or by choice
+            level = data.draw(st.integers(min_value=0, max_value=len(costs) - 1))
+            prop.backtrack(level)
+            for table in tables:
+                table.undo(level)
+            assert [table.cost for table in tables] == costs[level]
+            del costs[level:]
+
+
 def _assert_cores_match_reference(instance) -> None:
     prop = Propagator(instance)
     if prop.assert_units():
-        assert solver._cores(instance, prop, math.inf, math.inf) == reference_cores(
+        cost = solver._exact_weight(prop.val, instance)
+        assert solver._cores(instance, prop.val, cost, math.inf, math.inf) == reference_cores(
             instance, prop.val, math.inf)
 
 
@@ -736,7 +796,7 @@ def test_core_pass_bounds_small_dags(nodes, share, seed):
     also with it blocked."""
     t = seeded_dag(nodes, share, seed)
     instance = build_wcnf(t)
-    assert solver._root(instance).rbound is not None
+    assert len(solver._root(instance).tables) == 2
     _assert_cores_match_reference(instance)
     _assert_strategies_match_oracle(t)
     _walk_bound_table(instance, t)
@@ -749,11 +809,11 @@ def test_core_pass_bounds_small_dags(nodes, share, seed):
 def test_core_pass_pins_many_rounds_at_scale():
     """Two DAGs whose core pass runs many rounds: the bound is pinned bit
     for bit, and the second proves at the root."""
-    root = solver._root(build_wcnf(seeded_dag(20000, 0.5, 3)))
-    assert root.rbound is not None
-    assert root.lb == 49.342680069271715
+    _, (lb, _) = solver._root(build_wcnf(seeded_dag(20000, 0.5, 3))).tables
+    assert lb == 49.342680069271715
     root = solver._root(build_wcnf(seeded_dag(50000, 0.5, 1)))
-    assert root.lb == 47.822762350677095
+    _, (lb, _) = root.tables
+    assert lb == 47.822762350677095
     sol = solver._search(root, SolverConfig(), None, False)
     assert sol.proven
     assert sol.stats.decisions == 0
@@ -1055,8 +1115,8 @@ def test_portfolio_forks_hold_under_fast_thread_switching(monkeypatch):
     assert sol.proven and sol.weight == want
     assert all(r.weight == want for r in sol.workers if r.proven)
     root, fresh = roots[-1], real_root(instance)
-    assert (root.prop.val, root.prop.trail, root.bound, root.rbound) == (
-        fresh.prop.val, fresh.prop.trail, fresh.bound, fresh.rbound
+    assert (root.prop.val, root.prop.trail, root.tables) == (
+        fresh.prop.val, fresh.prop.trail, fresh.tables
     )
 
 
