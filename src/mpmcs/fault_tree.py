@@ -15,6 +15,7 @@ nodes.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -131,6 +132,8 @@ def _validate(tree: FaultTree) -> tuple[list[str], list[str]]:
                     events.append(child)
                     continue
                 kids = node.children
+                if not isinstance(kids, tuple):
+                    raise FaultTreeError(f"gate {child!r}: children {kids!r} are not a tuple")
                 if not kids:
                     raise FaultTreeError(f"gate {child!r} has no children")
                 if len(set(kids)) != len(kids):
@@ -158,6 +161,9 @@ _OPS = {op.value: op for op in GateOp}
 _new = tuple.__new__
 # Between two children, as indent=2 writes it (no backslash in f-string braces before 3.12).
 _CHILD_SEP = ",\n        "
+# A high surrogate code point followed by a low one: the writer escapes
+# each, and JSON reads the two escapes back as one character.
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 
 def parse_fault_tree(text: str) -> FaultTree:
@@ -229,7 +235,16 @@ def serialize_fault_tree(tree: FaultTree) -> str:
     form of the tree, one template per node: strings through the C
     encoder ``json.dumps`` uses for them, probabilities (finite, as
     validation keeps them) through ``float.__repr__`` as ``json`` does.
+    A name or id holding a surrogate pair as two code points would not
+    read back as written, so it raises ``FaultTreeError``.
     """
+    # One scan over every string the document holds (children are node
+    # ids), past at once when they are all ASCII.
+    strings = "\n".join([tree.name, *tree.nodes])
+    if not strings.isascii() and _SURROGATE_PAIR.search(strings):
+        bad = next(x for x in (tree.name, *tree.nodes) if _SURROGATE_PAIR.search(x))
+        raise FaultTreeError(f"{bad!r} holds a surrogate pair, which JSON reads back "
+                             "as one character")
     nodes = ",\n".join(
         f'    {{\n      "id": {_quote(n.id)},\n      "type": "{n.op.value}",\n'
         f'      "children": [\n        {_CHILD_SEP.join(map(_quote, n.children))}\n      ]\n    }}'

@@ -187,13 +187,15 @@ class _Root:
     instance: WcnfInstance
     prop: Propagator  # root and blocking gates asserted and propagated
     tables: tuple[tuple[float, list[float]], ...]
-    warm: Optional[tuple[int, ...]]  # the warm start, unless blocked
-    warm_w: float  # its weight, or inf
+    warm: Optional[tuple[int, ...]]  # the warm start, unless blocked or too heavy
+    warm_w: float  # its weight, else the cutoff (inf when there is none)
     start: float
     lower: float  # the root's lower bound, as ``_search`` bounds a node
+    floor: float  # known to bound every model from below: one this light is optimal
 
 
-def _root(instance: WcnfInstance, time_budget: float = math.inf) -> _Root:
+def _root(instance: WcnfInstance, time_budget: float = math.inf,
+          cutoff: float = math.inf, floor: float = -math.inf) -> _Root:
     """Set up a solve: propagate the root and walk the weights' table to
     a warm start, optimal on trees, so those prove with no decisions (and
     their table, exact, is never weaker than the core pass's bound).
@@ -202,7 +204,12 @@ def _root(instance: WcnfInstance, time_budget: float = math.inf) -> _Root:
     table, whose cost is the pass's ``lb``, and a second warm start, its
     zero-residual events swept to a minimal cut set.  The budget stops
     only the core pass, so a search out of time still returns a warm
-    start; a pass cut short makes no second one."""
+    start; a pass cut short makes no second one.
+
+    Only a model no heavier than ``cutoff`` is wanted: a heavier warm
+    start is dropped, and the cutoff stands as the incumbent's weight.
+    ``floor`` is a lower bound on every model's weight known from
+    elsewhere (see ``enumerate_optima``)."""
     start = time.perf_counter()
     prop = Propagator(instance)
     if not prop.assert_units():
@@ -213,6 +220,8 @@ def _root(instance: WcnfInstance, time_budget: float = math.inf) -> _Root:
     # Blocking gates over several events can rule the walked set out.
     warm = walked if _meets_hard(instance, walked) else None
     warm_w = math.inf if warm is None else _exact_weight(warm, instance)
+    if warm_w > cutoff:
+        warm, warm_w = None, cutoff
     target = warm_w - _prune_slack(warm_w)
     tables = [(cost, bound)]
     if not instance.tree_shaped and cost + bound[top] < target:
@@ -227,15 +236,16 @@ def _root(instance: WcnfInstance, time_budget: float = math.inf) -> _Root:
                 warm, warm_w = swept, swept_w
         tables.append((lb, _residual_bound(instance, val, residual)))
     lower = max(c + entries[top] for c, entries in tables)
-    return _Root(instance, prop, tuple(tables), warm, warm_w, start, lower)
+    return _Root(instance, prop, tuple(tables), warm, warm_w, start, lower, floor)
 
 
 def _closed(root: _Root, config: SolverConfig,
             cancel: Optional[threading.Event] = None) -> Optional[Solution]:
     """What ``_search`` returns when the root's bound reaches the warm
-    start's weight: the warm start, unproven once cancelled or out of
-    budget, else proven (no warm start: unsatisfiable); None if open."""
-    if root.lower < root.warm_w - _prune_slack(root.warm_w):
+    start's weight, or the warm start reaches the floor: the warm start,
+    unproven once cancelled or out of budget, else proven (no warm start:
+    unsatisfiable, no model within the cutoff); None if open."""
+    if root.lower < root.warm_w - _prune_slack(root.warm_w) and root.warm_w > root.floor:
         return None
     cancelled = cancel is not None and cancel.is_set()
     now = time.perf_counter()
@@ -252,7 +262,9 @@ def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event]
     ``best_first`` chooses only the order in which open nodes leave the
     frontier.  Only a root that leaves a gap (see ``_closed``) is forked.
 
-    The incumbent starts as the root's warm start.  A node is pruned when
+    The incumbent starts as the root's warm start, or as the cutoff's
+    weight with no model, and a model that reaches the root's floor ends
+    the search proven.  A node is pruned when
     its bound cannot beat the incumbent: the largest ``cost + bound[top]``
     over the root's tables, each a ``_BoundTable`` kept current along the
     trail (see there).  A node branches on the next open event in the
@@ -318,7 +330,7 @@ def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event]
         cancelled = cancel is not None and cancel.is_set()
         if cancelled or time.perf_counter() > deadline:
             break
-        if not frontier or best_first and (
+        if not frontier or incumbent_w <= root.floor or best_first and (
             frontier[0][0] >= incumbent_w - _prune_slack(incumbent_w)
         ):
             proven = True
@@ -380,21 +392,31 @@ def solve_best_first(instance: WcnfInstance, config: SolverConfig,
 
 
 def solve_portfolio(instance: WcnfInstance, configs: Sequence[SolverConfig]) -> Solution:
-    """Race all configurations on the root's gap; first proven result wins.
+    """Race all configurations on the root's gap; first proof wins.
 
     The root is set up once.  A root that ``_closed`` settles leaves
     nothing to race: each member exits at once with its outcome and no
     thread starts.  Otherwise each worker searches its own fork of the
     root in its ``config.strategy``'s order (see ``_search``), polling a
     cancellation flag at every decision, so losers stop within a small
-    grace period once a winner reports.  If nobody proves optimality in
-    budget, the best incumbent is returned unproven.  Only if every
-    worker raises does the portfolio raise, aggregating the errors.
+    grace period once a winner proves.  A proof is a proven solution, or
+    an ``UnsatisfiableError`` (no model left), which the portfolio then
+    raises.  If nobody proves anything in budget, the best incumbent is
+    returned unproven.  If every worker raises, the portfolio raises,
+    aggregating the errors.
     """
+    return _race(_root(instance, _budget(configs)), configs)
+
+
+def _budget(configs: Sequence[SolverConfig]) -> float:
+    """The largest member budget: the members share one root."""
     if not configs:
         raise ValueError("portfolio needs at least one configuration")
-    # The members share one root, so it may take the largest budget.
-    root = _root(instance, max(cfg.time_budget for cfg in configs))
+    return max(cfg.time_budget for cfg in configs)
+
+
+def _race(root: _Root, configs: Sequence[SolverConfig]) -> Solution:
+    """``solve_portfolio`` from a root already set up."""
     now = time.perf_counter()
     # Per worker: its Solution or the exception it raised, and its exit time.
     records: list = [(_closed(root, cfg), now) for cfg in configs]
@@ -404,10 +426,11 @@ def solve_portfolio(instance: WcnfInstance, configs: Sequence[SolverConfig]) -> 
         def work(i: int, cfg: SolverConfig) -> None:
             try:
                 outcome = _search(root, cfg, cancel, cfg.strategy is Strategy.BEST_FIRST)
-                if outcome.proven:
-                    cancel.set()
+                proof = outcome.proven
             except BaseException as exc:  # reported, not swallowed
-                outcome = exc
+                outcome, proof = exc, isinstance(exc, UnsatisfiableError)
+            if proof:
+                cancel.set()
             records[i] = (outcome, time.perf_counter())
 
         threads = [threading.Thread(target=work, args=(i, cfg), daemon=True)
@@ -417,12 +440,12 @@ def solve_portfolio(instance: WcnfInstance, configs: Sequence[SolverConfig]) -> 
         for t in threads:
             t.join()
 
+    unsat = [out for out, _ in records if isinstance(out, UnsatisfiableError)]
+    if unsat:  # a proof, over any cancelled member's unproven incumbent
+        raise UnsatisfiableError(str(unsat[0]))
     solved = [out for out, _ in records if isinstance(out, Solution)]
     if not solved:
-        errs = [out for out, _ in records]
-        if all(isinstance(e, UnsatisfiableError) for e in errs):
-            raise UnsatisfiableError(str(errs[0]))
-        raise PortfolioError(errs)
+        raise PortfolioError([out for out, _ in records])
 
     # The winner is the first worker to exit with a proof.
     won = min((t for out, t in records if isinstance(out, Solution) and out.proven),
@@ -524,26 +547,28 @@ def enumerate_optima(instance: WcnfInstance, weights: WeightMap,
     """All cut sets tied (within ``TIE_REL_TOL``) for the optimal weight.
 
     Each optimum found is blocked with a blocking gate and the instance is
-    re-solved until the optimum weight rises or the instance becomes
-    unsatisfiable.  Results come back in discovery order.  Raises
-    ``OptimaTimeoutError``, carrying the optima found so far, if any solve
-    ends unproven.
+    re-solved until no tie is left.  Blocking only removes models, so the
+    first optimum's weight w* bounds every later one from below: each
+    re-solve wants only a model within the tie cutoff, so its search
+    starts from the cutoff as its incumbent's weight, and it stops, proven,
+    at the first model as light as w*.  A re-solve that proves no model
+    within the cutoff left ends the enumeration.  Results come back in
+    discovery order.  Raises ``OptimaTimeoutError``, carrying the optima
+    found so far, if any solve ends unproven.
     """
+    budget = _budget(configs)
     results: list[MpmcsResult] = []
-    first: Optional[float] = None
-    current = instance
+    current, cutoff, floor = instance, math.inf, -math.inf
     while True:
         try:
-            sol = solve_portfolio(current, configs)
+            sol = _race(_root(current, budget, cutoff, floor), configs)
         except UnsatisfiableError:
-            break
+            return results
         if not sol.proven:
             raise OptimaTimeoutError(results)
         res = extract_mpmcs(sol, current, weights)
-        if first is None:
-            first = res.log_weight
-        elif res.log_weight > first + max(TIE_REL_TOL, TIE_REL_TOL * abs(first)):
-            break
         results.append(res)
+        if len(results) == 1:
+            floor = res.log_weight
+            cutoff = floor + max(TIE_REL_TOL, TIE_REL_TOL * abs(floor))
         current = add_blocking_clause(current, res.cut_set)
-    return results

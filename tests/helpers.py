@@ -5,7 +5,9 @@ used to judge; correctness checks go through direct evaluation of the
 fault tree (``evaluate``, which reads gate types and child ids, never
 the compiled circuit) and bitmask enumeration only.  The ``reference_*``
 functions are plain full-pass versions of compiled-circuit code, sharing
-no code with it, that tests require it to equal.
+no code with it, that tests require it to equal; the one exception,
+``reference_enumerate_optima``, is the plain blocking loop over the
+library's own solves that enumeration must equal.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import random
 from mpmcs.encoding import CnfFormula, VarMap, WcnfInstance, to_log_space
 from mpmcs.fault_tree import BasicEvent, FaultTree, Gate, GateOp, evaluate
 from mpmcs.generator import GeneratorParams, random_fault_tree
+from mpmcs.solver import (TIE_REL_TOL, MpmcsResult, SolverConfig, UnsatisfiableError,
+                          add_blocking_clause, extract_mpmcs, solve_branch_and_bound)
 
 # Worked example: probabilities and their log-space weights.
 FIRE_WEIGHTS = {
@@ -139,6 +143,27 @@ def reference_build_wcnf(t: FaultTree) -> WcnfInstance:
         kids=tuple(kids),
         tree_shaped=len(children) == len(set(children)),
     )
+
+
+def reference_enumerate_optima(instance: WcnfInstance, weights) -> list[MpmcsResult]:
+    """``enumerate_optima`` with branch and bound alone, as the plain
+    blocking loop: each re-solve proves its blocked instance's own
+    optimum, with no tie cutoff and no floor, and the loop stops at the
+    first optimum heavier than the tie tolerance allows, or at none."""
+    results: list[MpmcsResult] = []
+    while True:
+        try:
+            sol = solve_branch_and_bound(instance, SolverConfig())
+        except UnsatisfiableError:
+            return results
+        assert sol.proven
+        res = extract_mpmcs(sol, instance, weights)
+        if results:
+            first = results[0].log_weight
+            if res.log_weight > first + max(TIE_REL_TOL, TIE_REL_TOL * abs(first)):
+                return results
+        results.append(res)
+        instance = add_blocking_clause(instance, res.cut_set)
 
 
 def reference_serialize_fault_tree(t: FaultTree) -> str:

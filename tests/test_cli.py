@@ -84,7 +84,8 @@ def test_solve_all_optima_with_ties(capsys, tmp_path):
 def test_solve_all_optima_unproven_resolve_reports_partial(capsys, tmp_path, monkeypatch):
     t = tree({"top": ("or", ["a", "b"]), "a": 0.25, "b": 0.25}, top="top")
     path = write_tree(tmp_path / "tie.json", t)
-    real = solver.solve_portfolio
+    # Enumeration runs each solve's race through ``solver._race``.
+    real = solver._race
     calls = []
 
     def second_solve_unproven(*args, **kwargs):
@@ -94,7 +95,7 @@ def test_solve_all_optima_unproven_resolve_reports_partial(capsys, tmp_path, mon
             return replace(sol, assignment=None, weight=math.inf, proven=False)
         return sol
 
-    monkeypatch.setattr(solver, "solve_portfolio", second_solve_unproven)
+    monkeypatch.setattr(solver, "_race", second_solve_unproven)
     code, out, _ = run_cli(capsys, "solve", path, "--all-optima")
     assert code == 2
     report = json.loads(out)

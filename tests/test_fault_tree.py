@@ -96,11 +96,16 @@ def test_ids_name_and_top_must_be_strings(name, nodes, top):
 @pytest.mark.parametrize("node, match", [
     (Gate("g", "and", ("a", "b")), "gate 'g': op 'and' is not a GateOp"),
     (("g", GateOp.AND, ("a", "b")), "node 'g' is a tuple, not a Gate or BasicEvent"),
-], ids=["string-op", "not-a-node"])
+    (Gate("g", GateOp.OR, "ab"), "gate 'g': children 'ab' are not a tuple"),
+    (Gate("g", GateOp.OR, ["a", "b"]), "gate 'g': children ['a', 'b'] are not a tuple"),
+], ids=["string-op", "not-a-node", "string-children", "list-children"])
 def test_nodes_must_be_gates_with_a_gate_op_or_events(node, match):
     """Trees built in code get the parser's checks: a gate whose op is a
-    string, which evaluation and encoding would read as an OR, and a
-    value that is no node are both refused where the walk meets them."""
+    string, which evaluation and encoding would read as an OR, a value
+    that is no node, and children that are no tuple (a string would be
+    read as one child per character, and a list would not compare equal
+    to the tuple the parser reads back) are refused where the walk meets
+    them."""
     nodes = {"t": Gate("t", GateOp.OR, ("a", "g")), "g": node,
              "a": BasicEvent("a", 0.5), "b": BasicEvent("b", 0.5)}
     with pytest.raises(FaultTreeError, match=re.escape(match)):
@@ -188,10 +193,11 @@ def test_serialize_preserves_node_order(fire_tree):
     assert [n["id"] for n in doc["nodes"]] == list(fire_tree.nodes)
 
 
-# Ids with quotes, backslashes, control characters, a lone surrogate and
-# non-ASCII text; probabilities at both ends of the open interval.
+# Ids with quotes, backslashes, control characters, lone surrogates (which
+# may draw as a high one followed by a low one) and non-ASCII text;
+# probabilities at both ends of the open interval.
 _awkward_text = st.text(st.one_of(
-    st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\u00e9\U0001f600'), st.characters()))
+    st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\udc00\u00e9\U0001f600'), st.characters()))
 _awkward_probability = st.one_of(
     st.sampled_from([5e-324, 1 - 2**-53, 0.1]),
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -212,8 +218,19 @@ def _relabelled(draw, shared: bool) -> FaultTree:
     return FaultTree(draw(_awkward_text), nodes, new[t.top])
 
 
+def _holds_surrogate_pair(text: str) -> bool:
+    return any("\ud800" <= a <= "\udbff" and "\udc00" <= b <= "\udfff"
+               for a, b in zip(text, text[1:]))
+
+
 def _check_serialization(t):
-    """The writer emits ``json.dumps(indent=2)``'s bytes, which parse back to ``t``."""
+    """The writer emits ``json.dumps(indent=2)``'s bytes, which parse back
+    to ``t``; a name or id holding a surrogate pair, which would read back
+    as one character, is refused instead."""
+    if any(map(_holds_surrogate_pair, (t.name, *t.nodes))):
+        with pytest.raises(FaultTreeError, match="surrogate pair"):
+            serialize_fault_tree(t)
+        return
     text = serialize_fault_tree(t)
     assert text == reference_serialize_fault_tree(t)
     assert parse_fault_tree(text) == t
@@ -234,6 +251,23 @@ def test_parse_serialize_identity_with_sharing(t):
 @pytest.mark.parametrize("which", ["fire", "single-event"])
 def test_serialize_writes_the_bytes_of_json_dumps_on_fixed_trees(fire_tree, which):
     _check_serialization(fire_tree if which == "fire" else tree({"e": 0.5}, top="e"))
+
+
+_PAIR = "\ud800\udc00"
+
+
+@pytest.mark.parametrize("t", [
+    FaultTree("", {"": BasicEvent("", 5e-324), _PAIR: Gate(_PAIR, GateOp.OR, ("",))}, _PAIR),
+    FaultTree("x" + _PAIR, {"e": BasicEvent("e", 0.5)}, "e"),
+], ids=["id", "name"])
+def test_serialize_refuses_a_surrogate_pair(t):
+    """Written as two escapes, a high surrogate followed by a low one
+    reads back as the one character U+10000, so the tree would not
+    round-trip; each surrogate alone does."""
+    assert json.loads(json.dumps(_PAIR)) == "\U00010000"
+    with pytest.raises(FaultTreeError, match="surrogate pair"):
+        serialize_fault_tree(t)
+    _check_serialization(FaultTree("\ud800", {"\udc00": BasicEvent("\udc00", 0.5)}, "\udc00"))
 
 
 def test_dualize_swaps_gates(fire_tree):

@@ -22,6 +22,7 @@ from helpers import (
     reference_build_wcnf,
     reference_complete_assignment,
     reference_cores,
+    reference_enumerate_optima,
     satisfying_event_sets,
     seeded_dag,
     small_random_tree,
@@ -35,6 +36,7 @@ from mpmcs.fault_tree import BasicEvent, FaultTree, Gate, GateOp, evaluate
 from mpmcs.generator import GeneratorParams, random_fault_tree
 from mpmcs.oracle import enumerate_mcs, oracle_mpmcs
 from mpmcs.solver import (
+    GRACE_PERIOD,
     PRUNE_EPS,
     TIE_REL_TOL,
     FrontierLimitError,
@@ -1017,6 +1019,40 @@ def test_portfolio_reports_cancelled_losers():
     assert any(r.cancelled for r in sol.workers)
 
 
+def test_portfolio_proof_of_no_model_cancels_the_race(monkeypatch):
+    """A blocked instance whose root is open and which has no model left:
+    branch and bound proves so by search, and that proof ends the race.
+    The other member stops only when cancelled, and must do so within
+    the grace period; its unproven outcome does not win over the proof."""
+    t = tree({"top": ("or", ["g1", "g2"]), "g1": ("and", ["a", "b"]),
+              "g2": ("and", ["a", "c"]), "a": 0.3, "b": 0.4, "c": 0.5}, top="top")
+    instance = build_wcnf(t)
+    for blocked in ({"a", "b"}, {"a", "c"}):
+        instance = add_blocking_clause(instance, frozenset(blocked))
+    assert solver._closed(solver._root(instance), SolverConfig()) is None
+    search, proved, exited = solver._search, [], []
+
+    def racing(root, config, cancel, best_first):
+        if config.solver_id == "bnb-desc":
+            try:
+                return search(root, config, cancel, best_first)
+            except UnsatisfiableError:
+                proved.append(time.perf_counter())
+                raise
+        deadline = time.perf_counter() + 5.0
+        while not cancel.is_set() and time.perf_counter() < deadline:
+            time.sleep(0.001)
+        exited.append(time.perf_counter())
+        return Solution(root.warm, root.warm_w, False, SearchStats(cancelled=cancel.is_set()),
+                        config.solver_id)
+
+    monkeypatch.setattr(solver, "_search", racing)
+    with pytest.raises(UnsatisfiableError):
+        solve_portfolio(instance, default_portfolio())
+    assert proved and exited
+    assert exited[0] - proved[0] <= GRACE_PERIOD
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("a solve closed at the root started a race")
 
@@ -1365,6 +1401,63 @@ def test_enumerate_optima_exhausts_single_event():
     instance = build_wcnf(t)
     optima = enumerate_optima(instance, event_weights(t), default_portfolio())
     assert [sorted(r.cut_set) for r in optima] == [["e"]]
+
+
+@st.composite
+def _tied(draw, trees) -> FaultTree:
+    """A tree from ``trees`` with every probability drawn from (0.1, 0.01),
+    so that many cut sets tie."""
+    t = draw(trees)
+    return FaultTree(t.name, {
+        nid: BasicEvent(nid, draw(st.sampled_from((0.1, 0.01)), label=nid))
+        if isinstance(node, BasicEvent) else node
+        for nid, node in t.nodes.items()
+    }, t.top)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.builds(tie_tree, st.integers(2, 60), st.integers(0, 10**4)),
+    _tied(strategies.dags()),
+    _tied(st.builds(seeded_dag, st.integers(2, 40), st.sampled_from((0.3, 1.0)),
+                    st.integers(0, 10**4))),
+))
+def test_enumerate_optima_matches_the_blocking_loop(t):
+    """Re-solves bounded by the tie cutoff, stopping at the first
+    optimum's weight, find the optima the plain blocking loop finds, in
+    the same order."""
+    instance, weights = build_wcnf(t), event_weights(t)
+    got = enumerate_optima(instance, weights, [SolverConfig()])
+    want = reference_enumerate_optima(instance, weights)
+    assert [(r.cut_set, r.log_weight) for r in got] == [
+        (r.cut_set, r.log_weight) for r in want
+    ]
+
+
+@pytest.mark.parametrize("nodes, seed, optima, decisions, blocking_decisions", [
+    (60, 1, 80, 4_921, 24_274),
+    (100, 2, 3, 93, 410),
+], ids=["ties-60-1", "ties-100-2"])
+def test_enumerate_optima_decisions_are_frozen(nodes, seed, optima, decisions,
+                                               blocking_decisions, monkeypatch):
+    """Branch and bound's decisions over a whole enumeration, against the
+    plain blocking loop's: a change to either must say so."""
+    counted = []
+    search = solver._search
+
+    def counting(*args, **kwargs):
+        sol = search(*args, **kwargs)
+        counted.append(sol.stats.decisions)
+        return sol
+
+    monkeypatch.setattr(solver, "_search", counting)
+    t = tie_tree(nodes, seed)
+    instance, weights = build_wcnf(t), event_weights(t)
+    assert len(enumerate_optima(instance, weights, [SolverConfig()])) == optima
+    assert sum(counted) == decisions
+    counted.clear()
+    assert len(reference_enumerate_optima(instance, weights)) == optima
+    assert sum(counted) == blocking_decisions
 
 
 def test_compute_mpmcs_end_to_end(fire_tree):
