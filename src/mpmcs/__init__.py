@@ -38,7 +38,6 @@ from .solver import (
     Solution,
     SolverConfig,
     Strategy,
-    UnsatisfiableError,
     VarOrder,
     WorkerReport,
     compute_mpmcs,
@@ -68,7 +67,6 @@ __all__ = [
     "Solution",
     "SolverConfig",
     "Strategy",
-    "UnsatisfiableError",
     "VarMap",
     "VarOrder",
     "WcnfInstance",

@@ -136,7 +136,12 @@ def _validate(tree: FaultTree) -> tuple[list[str], list[str]]:
                     raise FaultTreeError(f"gate {child!r}: children {kids!r} are not a tuple")
                 if not kids:
                     raise FaultTreeError(f"gate {child!r} has no children")
-                if len(set(kids)) != len(kids):
+                try:
+                    distinct = len(set(kids))
+                except TypeError:  # every string hashes, so some id is no string
+                    raise FaultTreeError(f"gate {child!r}: child ids {kids!r} "
+                                         "are not all strings") from None
+                if distinct != len(kids):
                     raise FaultTreeError(f"gate {child!r} lists a duplicate child")
                 state[child] = GREY
                 stack.append((child, iter(kids)))
@@ -149,7 +154,7 @@ def _validate(tree: FaultTree) -> tuple[list[str], list[str]]:
             stack.pop()
     gates.pop()
     if len(events) + len(gates) < len(nodes):
-        shown = sorted(set(nodes) - set(state))[0]
+        shown = next(key for key in nodes if key not in state)
         raise FaultTreeError(f"node {shown!r} is not reachable from top {tree.top!r}")
     return events, gates
 

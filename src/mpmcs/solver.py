@@ -50,10 +50,6 @@ FRONTIER_LIMIT = 500_000
 TIE_REL_TOL = 1e-9
 
 
-class UnsatisfiableError(RuntimeError):
-    """Hard constraints admit no model (only blocking gates can cause this)."""
-
-
 class FrontierLimitError(RuntimeError):
     """Best-first frontier outgrew ``FRONTIER_LIMIT`` states."""
 
@@ -140,10 +136,12 @@ class WorkerReport:
 class Solution:
     """Outcome of one solve: a model over all circuit variables plus bookkeeping.
 
-    ``assignment`` maps variable index to +1/-1 (index 0 unused); it is
-    None only when a budget ran out before any incumbent existed.
+    ``assignment`` maps variable index to +1/-1 (index 0 unused).
     ``weight`` is the falsified-soft total, recomputed exactly from the
-    assignment.
+    assignment.  The assignment is None when the solve found no model:
+    proven, no model within the cutoff is left (only blocking gates can
+    rule every model out), and ``weight`` is that cutoff, inf when there
+    is none; unproven, a budget ran out before any incumbent existed.
     """
 
     assignment: Optional[tuple[int, ...]]
@@ -212,8 +210,8 @@ def _root(instance: WcnfInstance, time_budget: float = math.inf,
     elsewhere (see ``enumerate_optima``)."""
     start = time.perf_counter()
     prop = Propagator(instance)
-    if not prop.assert_units():
-        raise UnsatisfiableError("hard constraints conflict at root level")
+    if not prop.assert_units():  # the blocked units conflict: no model at all
+        return _Root(instance, prop, (), None, cutoff, start, math.inf, floor)
     val, weight, top = prop.val, instance.weight, instance.var_map.root_var
     cost, bound = _exact_weight(val, instance), _residual_bound(instance, val, weight)
     walked = complete_assignment(instance, _cheapest_events(instance, bound))
@@ -244,23 +242,20 @@ def _closed(root: _Root, config: SolverConfig,
     """What ``_search`` returns when the root's bound reaches the warm
     start's weight, or the warm start reaches the floor: the warm start,
     unproven once cancelled or out of budget, else proven (no warm start:
-    unsatisfiable, no model within the cutoff); None if open."""
+    no model within the cutoff is left); None if open."""
     if root.lower < root.warm_w - _prune_slack(root.warm_w) and root.warm_w > root.floor:
         return None
     cancelled = cancel is not None and cancel.is_set()
     now = time.perf_counter()
     proven = not cancelled and now <= root.start + config.time_budget
-    if proven and root.warm is None:
-        raise UnsatisfiableError("search space exhausted without a model")
     stats = SearchStats(0, root.prop.propagations, now - root.start, cancelled)
     return Solution(root.warm, root.warm_w, proven, stats, config.solver_id)
 
 
-def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event],
-            best_first: bool) -> Solution:
+def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event]) -> Solution:
     """Branch and bound over event variables from a fork of ``root``;
-    ``best_first`` chooses only the order in which open nodes leave the
-    frontier.  Only a root that leaves a gap (see ``_closed``) is forked.
+    ``config.strategy`` chooses only the order in which open nodes leave
+    the frontier.  Only a root that leaves a gap (see ``_closed``) is forked.
 
     The incumbent starts as the root's warm start, or as the cutoff's
     weight with no model, and a model that reaches the root's floor ends
@@ -277,9 +272,9 @@ def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event]
     move is one chronological backtrack.  Best first, it is a heap keyed
     by the parent's cost plus bound, a lower bound on every completion
     below the node, so the incumbent is proven once the least key cannot
-    beat it.  Exhausting the frontier also proves it; running out of
-    budget or being cancelled, even before deciding, returns the
-    incumbent unproven.
+    beat it.  Exhausting the frontier also proves it, a proof that no
+    model is left when there is no incumbent; running out of budget or
+    being cancelled, even before deciding, returns the incumbent unproven.
     """
     if (closed := _closed(root, config, cancel)) is not None:
         return closed
@@ -292,6 +287,7 @@ def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event]
     order = sorted(map(var_of.__getitem__, sorted(var_of)), key=instance.weight.__getitem__,
                    reverse=config.var_order is VarOrder.DESCENDING_WEIGHT)
     top = instance.var_map.root_var
+    best_first = config.strategy is Strategy.BEST_FIRST
     decisions = 0
 
     incumbent, incumbent_w = root.warm, root.warm_w
@@ -361,8 +357,6 @@ def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event]
         lower = max(t.cost + t.bound[top] for t in tables) if clean else math.inf
         expand = lower < incumbent_w - _prune_slack(incumbent_w)
 
-    if proven and incumbent is None:
-        raise UnsatisfiableError("search space exhausted without a model")
     elapsed = time.perf_counter() - root.start
     return Solution(
         assignment=incumbent,
@@ -376,15 +370,18 @@ def _search(root: _Root, config: SolverConfig, cancel: Optional[threading.Event]
 def solve_branch_and_bound(instance: WcnfInstance, config: SolverConfig,
                            cancel: Optional[threading.Event] = None) -> Solution:
     """Depth-first branch and bound (see ``_search``), whatever
-    ``config.strategy`` says."""
-    return _search(_root(instance, config.time_budget), config, cancel, best_first=False)
+    ``config.strategy`` says; the solution's ``solver_id`` names this order."""
+    config = replace(config, strategy=Strategy.BRANCH_AND_BOUND)
+    return _search(_root(instance, config.time_budget), config, cancel)
 
 
 def solve_best_first(instance: WcnfInstance, config: SolverConfig,
                      cancel: Optional[threading.Event] = None) -> Solution:
     """Best-first branch and bound (see ``_search``): A* order over the
-    same nodes, bound and pruning, whatever ``config.strategy`` says."""
-    return _search(_root(instance, config.time_budget), config, cancel, best_first=True)
+    same nodes, bound and pruning, whatever ``config.strategy`` says; the
+    solution's ``solver_id`` names this order."""
+    config = replace(config, strategy=Strategy.BEST_FIRST)
+    return _search(_root(instance, config.time_budget), config, cancel)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +396,10 @@ def solve_portfolio(instance: WcnfInstance, configs: Sequence[SolverConfig]) -> 
     thread starts.  Otherwise each worker searches its own fork of the
     root in its ``config.strategy``'s order (see ``_search``), polling a
     cancellation flag at every decision, so losers stop within a small
-    grace period once a winner proves.  A proof is a proven solution, or
-    an ``UnsatisfiableError`` (no model left), which the portfolio then
-    raises.  If nobody proves anything in budget, the best incumbent is
-    returned unproven.  If every worker raises, the portfolio raises,
+    grace period once a winner proves.  A proof is a proven solution,
+    one with no model included (none is left).  If nobody proves anything
+    in budget, the best incumbent is returned unproven.  A member that
+    raises has failed; if every member fails, the portfolio raises,
     aggregating the errors.
     """
     return _race(_root(instance, _budget(configs)), configs)
@@ -425,12 +422,11 @@ def _race(root: _Root, configs: Sequence[SolverConfig]) -> Solution:
 
         def work(i: int, cfg: SolverConfig) -> None:
             try:
-                outcome = _search(root, cfg, cancel, cfg.strategy is Strategy.BEST_FIRST)
-                proof = outcome.proven
+                outcome = _search(root, cfg, cancel)
+                if outcome.proven:
+                    cancel.set()
             except BaseException as exc:  # reported, not swallowed
-                outcome, proof = exc, isinstance(exc, UnsatisfiableError)
-            if proof:
-                cancel.set()
+                outcome = exc
             records[i] = (outcome, time.perf_counter())
 
         threads = [threading.Thread(target=work, args=(i, cfg), daemon=True)
@@ -440,9 +436,6 @@ def _race(root: _Root, configs: Sequence[SolverConfig]) -> Solution:
         for t in threads:
             t.join()
 
-    unsat = [out for out, _ in records if isinstance(out, UnsatisfiableError)]
-    if unsat:  # a proof, over any cancelled member's unproven incumbent
-        raise UnsatisfiableError(str(unsat[0]))
     solved = [out for out, _ in records if isinstance(out, Solution)]
     if not solved:
         raise PortfolioError([out for out, _ in records])
@@ -552,20 +545,20 @@ def enumerate_optima(instance: WcnfInstance, weights: WeightMap,
     re-solve wants only a model within the tie cutoff, so its search
     starts from the cutoff as its incumbent's weight, and it stops, proven,
     at the first model as light as w*.  A re-solve that proves no model
-    within the cutoff left ends the enumeration.  Results come back in
-    discovery order.  Raises ``OptimaTimeoutError``, carrying the optima
-    found so far, if any solve ends unproven.
+    within the cutoff is left, a proven solution with no assignment, ends
+    the enumeration.  Results come back in discovery order.  Raises
+    ``OptimaTimeoutError``, carrying the optima found so far, if any solve
+    ends unproven.
     """
     budget = _budget(configs)
     results: list[MpmcsResult] = []
     current, cutoff, floor = instance, math.inf, -math.inf
     while True:
-        try:
-            sol = _race(_root(current, budget, cutoff, floor), configs)
-        except UnsatisfiableError:
-            return results
+        sol = _race(_root(current, budget, cutoff, floor), configs)
         if not sol.proven:
             raise OptimaTimeoutError(results)
+        if sol.assignment is None:
+            return results
         res = extract_mpmcs(sol, current, weights)
         results.append(res)
         if len(results) == 1:

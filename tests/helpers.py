@@ -19,8 +19,8 @@ import random
 from mpmcs.encoding import CnfFormula, VarMap, WcnfInstance, to_log_space
 from mpmcs.fault_tree import BasicEvent, FaultTree, Gate, GateOp, evaluate
 from mpmcs.generator import GeneratorParams, random_fault_tree
-from mpmcs.solver import (TIE_REL_TOL, MpmcsResult, SolverConfig, UnsatisfiableError,
-                          add_blocking_clause, extract_mpmcs, solve_branch_and_bound)
+from mpmcs.solver import (TIE_REL_TOL, MpmcsResult, SolverConfig, add_blocking_clause,
+                          extract_mpmcs, solve_branch_and_bound)
 
 # Worked example: probabilities and their log-space weights.
 FIRE_WEIGHTS = {
@@ -152,11 +152,10 @@ def reference_enumerate_optima(instance: WcnfInstance, weights) -> list[MpmcsRes
     first optimum heavier than the tie tolerance allows, or at none."""
     results: list[MpmcsResult] = []
     while True:
-        try:
-            sol = solve_branch_and_bound(instance, SolverConfig())
-        except UnsatisfiableError:
-            return results
+        sol = solve_branch_and_bound(instance, SolverConfig())
         assert sol.proven
+        if sol.assignment is None:
+            return results
         res = extract_mpmcs(sol, instance, weights)
         if results:
             first = results[0].log_weight

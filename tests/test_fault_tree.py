@@ -83,13 +83,19 @@ def test_unreachable_node_rejected():
         tree({"t": ("or", ["a"]), "a": 0.1, "b": 0.2}, top="t")
 
 
-@pytest.mark.parametrize("name, nodes, top", [
-    (7, {"a": BasicEvent("a", 0.5)}, "a"),
-    ("t", {1: BasicEvent(1, 0.5)}, 1),
-    ("t", {"g": Gate("g", GateOp.OR, (1,)), 1: BasicEvent(1, 0.5)}, "g"),
-], ids=["name", "top", "child"])
-def test_ids_name_and_top_must_be_strings(name, nodes, top):
-    with pytest.raises(FaultTreeError, match="string"):
+@pytest.mark.parametrize("name, nodes, top, match", [
+    (7, {"a": BasicEvent("a", 0.5)}, "a", "string"),
+    ("t", {1: BasicEvent(1, 0.5)}, 1, "string"),
+    ("t", {"g": Gate("g", GateOp.OR, (1,)), 1: BasicEvent(1, 0.5)}, "g", "string"),
+    ("t", {"g": Gate("g", GateOp.OR, (["a"],)), "a": BasicEvent("a", 0.5)}, "g",
+     re.escape("gate 'g': child ids (['a'],) are not all strings")),
+    ("t", {"a": BasicEvent("a", 0.5), 5: BasicEvent(5, 0.5), "b": BasicEvent("b", 0.5)}, "a",
+     "node 5 is not reachable from top 'a'"),
+], ids=["name", "top", "child", "unhashable-child", "unreachable-int"])
+def test_ids_name_and_top_must_be_strings(name, nodes, top, match):
+    """Ids of any other type, one that cannot be hashed and one that
+    cannot be ordered against strings included, raise ``FaultTreeError``."""
+    with pytest.raises(FaultTreeError, match=match):
         FaultTree(name, nodes, top)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import heapq
 import itertools
 import math
 import pickle
@@ -10,6 +11,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -47,7 +49,6 @@ from mpmcs.solver import (
     Solution,
     SolverConfig,
     Strategy,
-    UnsatisfiableError,
     VarOrder,
     _residual_bound,
     add_blocking_clause,
@@ -73,6 +74,14 @@ def _solve(instance, config, cancel=None):
     if config.strategy is Strategy.BEST_FIRST:
         return solve_best_first(instance, config, cancel)
     return solve_branch_and_bound(instance, config, cancel)
+
+
+def _assert_no_model(sol, instance, cutoff=math.inf):
+    """A proof that no model within ``cutoff`` is left: a proven solution
+    with no assignment to extract, weighing the cutoff."""
+    assert (sol.proven, sol.assignment, sol.weight) == (True, None, cutoff)
+    with pytest.raises(ValueError, match="no model"):
+        extract_mpmcs(sol, instance, {})
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +305,7 @@ def _assert_strategies_match_oracle(t, blocked=None):
         allowed = [math.fsum(weights[e] for e in cut)
                    for cut in satisfying_event_sets(t) if not blocked <= cut]
         if not allowed:
-            with pytest.raises(UnsatisfiableError):
-                solve_branch_and_bound(instance, SolverConfig())
+            _assert_no_model(solve_branch_and_bound(instance, SolverConfig()), instance)
             return
         want = min(allowed)
     assert solver._root(instance).lower <= want + PRUNE_EPS
@@ -464,11 +472,10 @@ def test_warm_start_is_optimal_with_events_blocked(t, data):
     for eid in sorted(blocked):
         instance = add_blocking_clause(instance, frozenset({eid}))
     allowed = [cs for cs in enumerate_mcs(t) if not cs.events & blocked]
-    if not allowed:
-        with pytest.raises(UnsatisfiableError):
-            solve_branch_and_bound(instance, SolverConfig())
-        return
     sol = solve_branch_and_bound(instance, SolverConfig())
+    if not allowed:
+        _assert_no_model(sol, instance)
+        return
     assert sol.proven
     assert sol.stats.decisions == 0
     weights = event_weights(t)
@@ -641,9 +648,8 @@ def _walk_bound_table(instance, t, blocked=frozenset()) -> None:
     must be its ``lb`` plus the residual weight of the true events, and
     at every clean node its bound must not exceed the least weight of a
     cut set of ``t`` that extends the node's assignment, by brute force."""
-    try:
-        root = solver._root(instance)
-    except UnsatisfiableError:
+    root = solver._root(instance)
+    if not root.tables:  # the blocked units conflict: nothing to walk
         return
     prop = root.prop.fork()
     table, *rest = [solver._BoundTable(instance, *pair) for pair in root.tables]
@@ -728,9 +734,8 @@ def test_bound_tables_keep_each_node_cost(shared, data):
     for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
         blocked = data.draw(st.sets(st.sampled_from(sorted(t.event_ids)), min_size=1))
         instance = add_blocking_clause(instance, frozenset(blocked))
-    try:
-        root = solver._root(instance)
-    except UnsatisfiableError:
+    root = solver._root(instance)
+    if not root.tables:  # the blocked units conflict: nothing to walk
         return
     prop = root.prop.fork()
     tables = [solver._BoundTable(instance, *pair) for pair in root.tables]
@@ -816,7 +821,7 @@ def test_core_pass_pins_many_rounds_at_scale():
     root = solver._root(build_wcnf(seeded_dag(50000, 0.5, 1)))
     _, (lb, _) = root.tables
     assert lb == 47.822762350677095
-    sol = solver._search(root, SolverConfig(), None, False)
+    sol = solver._search(root, SolverConfig(), None)
     assert sol.proven
     assert sol.stats.decisions == 0
 
@@ -897,8 +902,7 @@ def test_forks_of_one_root_keep_frozen_counts(make, counts):
     instance = make()
     root = solver._root(instance)
     for strategy in (*Strategy, *Strategy):
-        best_first = strategy is Strategy.BEST_FIRST
-        sol = solver._search(root, SolverConfig(strategy=strategy), None, best_first)
+        sol = solver._search(root, SolverConfig(strategy=strategy), None)
         assert (sol.stats.decisions, sol.stats.propagations) == counts[strategy.value]
     for strategy in Strategy:
         sol = solve_portfolio(instance, [SolverConfig(strategy=strategy)])
@@ -940,39 +944,63 @@ def test_dag_3000_is_proven_with_frozen_counts():
 
 
 # ---------------------------------------------------------------------------
-# Unsatisfiable instances
+# No model left
 
 
-def test_blocked_single_event_is_unsat():
-    t = tree({"e": 0.5}, top="e")
-    instance = add_blocking_clause(build_wcnf(t), frozenset({"e"}))
-    with pytest.raises(UnsatisfiableError):
-        solve_branch_and_bound(instance, SolverConfig())
-    with pytest.raises(UnsatisfiableError):
-        solve_best_first(instance, SolverConfig())
-    with pytest.raises(UnsatisfiableError):
-        solve_portfolio(instance, default_portfolio())
+def _both_cuts_blocked():
+    """A tree whose two cut sets are both blocked: its root has no
+    conflict, so only an exhausted search proves that no model is left."""
+    t = tree({"top": ("or", ["g1", "g2"]), "g1": ("and", ["a", "b"]),
+              "g2": ("and", ["a", "c"]), "a": 0.3, "b": 0.4, "c": 0.5}, top="top")
+    instance = build_wcnf(t)
+    for blocked in ({"a", "b"}, {"a", "c"}):
+        instance = add_blocking_clause(instance, frozenset(blocked))
+    return instance
 
 
-def test_unsat_that_needs_search():
-    """No root-level conflict; exhaustion is what proves emptiness."""
-    t = tree(
-        {
-            "top": ("or", ["g1", "g2"]),
-            "g1": ("and", ["a", "b"]),
-            "g2": ("and", ["a", "c"]),
-            "a": 0.3, "b": 0.4, "c": 0.5,
-        },
-        top="top",
-    )
-    blocked = add_blocking_clause(
-        add_blocking_clause(build_wcnf(t), frozenset({"a", "b"})),
-        frozenset({"a", "c"}),
-    )
-    with pytest.raises(UnsatisfiableError):
-        solve_branch_and_bound(blocked, SolverConfig())
-    with pytest.raises(UnsatisfiableError):
-        solve_best_first(blocked, SolverConfig())
+# Per path: the instance, the cutoff, and whether the root has tables and is open.
+_NO_MODEL_PATHS = {
+    # The only event is blocked: the root's units conflict.
+    "root-conflict": (lambda: add_blocking_clause(build_wcnf(tree({"e": 0.5}, top="e")),
+                                                  frozenset({"e"})), math.inf, False, False),
+    # The optimum, 2 ln 2, proves at the root above the cutoff, so the
+    # warm start is dropped and the closed root has none.
+    "closed-root": (lambda: build_wcnf(tree({"a": 0.5, "b": 0.5, "top": ("and", ["a", "b"])},
+                                            top="top")), 1.0, True, False),
+    "exhausted-search": (_both_cuts_blocked, math.inf, True, True),
+}
+
+_ENTRY_POINTS = {
+    "bnb": lambda instance, budget: solve_branch_and_bound(instance, SolverConfig(
+        time_budget=budget)),
+    "bestfirst": lambda instance, budget: solve_best_first(instance, SolverConfig(
+        time_budget=budget)),
+    "portfolio": lambda instance, budget: solve_portfolio(instance, default_portfolio(budget)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("path", sorted(_NO_MODEL_PATHS))
+def test_no_model_left_is_a_proven_solution(path, entry, monkeypatch):
+    """Whichever way a solve proves that no model within its cutoff is
+    left, each entry point reports it as it reports an optimum: a proven
+    solution, with no assignment, the cutoff's weight and the solve's
+    stats; with its budget spent first, the same solution unproven."""
+    make, cutoff, tables, open_root = _NO_MODEL_PATHS[path]
+    instance, real_root = make(), solver._root
+    root = real_root(instance, math.inf, cutoff)
+    assert root.warm is None
+    assert (bool(root.tables), solver._closed(root, SolverConfig()) is None) == (
+        tables, open_root)
+    monkeypatch.setattr(solver, "_root", lambda inst, budget: real_root(inst, budget, cutoff))
+    sol = _ENTRY_POINTS[entry](instance, 60.0)
+    _assert_no_model(sol, instance, cutoff)
+    assert (sol.stats.decisions > 0) == open_root
+    assert sol.stats.elapsed > 0.0 and not sol.stats.cancelled
+    if entry == "portfolio":
+        assert any(r.proven and r.weight == cutoff for r in sol.workers)
+    spent = _ENTRY_POINTS[entry](instance, 1e-9)
+    assert (spent.proven, spent.assignment, spent.weight) == (False, None, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -1024,21 +1052,15 @@ def test_portfolio_proof_of_no_model_cancels_the_race(monkeypatch):
     branch and bound proves so by search, and that proof ends the race.
     The other member stops only when cancelled, and must do so within
     the grace period; its unproven outcome does not win over the proof."""
-    t = tree({"top": ("or", ["g1", "g2"]), "g1": ("and", ["a", "b"]),
-              "g2": ("and", ["a", "c"]), "a": 0.3, "b": 0.4, "c": 0.5}, top="top")
-    instance = build_wcnf(t)
-    for blocked in ({"a", "b"}, {"a", "c"}):
-        instance = add_blocking_clause(instance, frozenset(blocked))
+    instance = _both_cuts_blocked()
     assert solver._closed(solver._root(instance), SolverConfig()) is None
     search, proved, exited = solver._search, [], []
 
-    def racing(root, config, cancel, best_first):
+    def racing(root, config, cancel):
         if config.solver_id == "bnb-desc":
-            try:
-                return search(root, config, cancel, best_first)
-            except UnsatisfiableError:
-                proved.append(time.perf_counter())
-                raise
+            sol = search(root, config, cancel)
+            proved.append(time.perf_counter())
+            return sol
         deadline = time.perf_counter() + 5.0
         while not cancel.is_set() and time.perf_counter() < deadline:
             time.sleep(0.001)
@@ -1047,8 +1069,10 @@ def test_portfolio_proof_of_no_model_cancels_the_race(monkeypatch):
                         config.solver_id)
 
     monkeypatch.setattr(solver, "_search", racing)
-    with pytest.raises(UnsatisfiableError):
-        solve_portfolio(instance, default_portfolio())
+    sol = solve_portfolio(instance, default_portfolio())
+    _assert_no_model(sol, instance)
+    assert sol.solver_id == "bnb-desc"
+    assert [(r.proven, r.cancelled) for r in sol.workers] == [(True, False), (False, True)]
     assert proved and exited
     assert exited[0] - proved[0] <= GRACE_PERIOD
 
@@ -1096,25 +1120,6 @@ def test_closed_root_reports_the_first_member_whose_budget_holds(fire_instance, 
     assert not sol.proven and sol.solver_id == "bnb-desc"
     assert sol.assignment == solver._root(fire_instance).warm
     assert all(r.exit_after_winner is None for r in sol.workers)
-
-
-def test_closed_root_without_a_warm_start_is_unsatisfiable(fire_instance, monkeypatch):
-    """A root with no warm start is closed only when its bound is
-    infinite, so no model exists: every solve raises, as an exhausted
-    search does, unless its budget is spent first."""
-    real_root = solver._root
-
-    def hopeless(*args):
-        return replace(real_root(*args), warm=None, warm_w=math.inf, lower=math.inf)
-
-    monkeypatch.setattr(solver, "_root", hopeless)
-    monkeypatch.setattr(threading, "Thread", _refuse)
-    with pytest.raises(UnsatisfiableError):
-        solve_branch_and_bound(fire_instance, SolverConfig())
-    with pytest.raises(UnsatisfiableError):
-        solve_portfolio(fire_instance, default_portfolio())
-    sol = solve_portfolio(fire_instance, default_portfolio(time_budget=1e-9))
-    assert not sol.proven and sol.assignment is None and sol.weight == math.inf
 
 
 def test_portfolio_all_errors_aggregate(monkeypatch):
@@ -1280,10 +1285,7 @@ def test_blocking_leaves_the_parent_instance_alone(t, data):
     for _ in range(data.draw(st.integers(1, 4), label="blocks")):
         blocked = data.draw(st.frozensets(st.sampled_from(events), min_size=1))
         child = add_blocking_clause(chain[-1], blocked)
-        try:
-            solve_branch_and_bound(child, SolverConfig())
-        except UnsatisfiableError:
-            pass
+        solve_branch_and_bound(child, SolverConfig())
         var_of = child.var_map.var_of_event
         clauses.append(tuple(-var_of[e] for e in sorted(blocked)))
         chain.append(child)
@@ -1435,8 +1437,8 @@ def test_enumerate_optima_matches_the_blocking_loop(t):
 
 
 @pytest.mark.parametrize("nodes, seed, optima, decisions, blocking_decisions", [
-    (60, 1, 80, 4_921, 24_274),
-    (100, 2, 3, 93, 410),
+    (60, 1, 80, 5_037, 24_274),
+    (100, 2, 3, 147, 410),
 ], ids=["ties-60-1", "ties-100-2"])
 def test_enumerate_optima_decisions_are_frozen(nodes, seed, optima, decisions,
                                                blocking_decisions, monkeypatch):
@@ -1548,3 +1550,23 @@ def test_solver_ids():
     assert SolverConfig(
         strategy=Strategy.BEST_FIRST, var_order=VarOrder.ASCENDING_WEIGHT
     ).solver_id == "bestfirst-asc"
+
+
+@pytest.mark.parametrize("entry", ["bnb", "bestfirst", "portfolio"])
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.solver_id)
+def test_solution_label_names_the_order_that_ran(config, entry, monkeypatch):
+    """In the solver, only best first pushes onto a heap, which shows the
+    order that searched the four-event DAG's open root: the entry point's
+    own, or the member's strategy in a portfolio.  ``solver_id`` names
+    that order and the configuration's variable order."""
+    pushes = []
+    monkeypatch.setattr(solver, "heapq", SimpleNamespace(
+        heappush=lambda *args: pushes.append(1) or heapq.heappush(*args),
+        heappop=heapq.heappop))
+    solve = {"bnb": solve_branch_and_bound, "bestfirst": solve_best_first,
+             "portfolio": lambda instance, cfg: solve_portfolio(instance, [cfg])}[entry]
+    sol = solve(build_wcnf(_four_event_dag()), config)
+    assert sol.proven and sol.stats.decisions > 0
+    ran = "bestfirst" if pushes else "bnb"
+    assert ran == (config.strategy.value if entry == "portfolio" else entry)
+    assert sol.solver_id == f"{ran}-{config.var_order.value}"
