@@ -27,7 +27,8 @@ class Propagator:
     Tseitin clauses.  ``ctl``, ``kids`` and ``parents`` are the
     instance's own tables (``ctl[v]`` is a gate's ``c``: -1 AND, 1 OR);
     ``_other[v]`` counts the children of ``v`` holding ``-c``.
-    ``assert_units`` asserts the root true and every blocking gate false.
+    ``assert_units`` asserts the root true, every blocking gate false and
+    any event units given.
     """
 
     __slots__ = ("val", "ctl", "kids", "parents", "_other", "_root",
@@ -72,9 +73,10 @@ class Propagator:
             return self._set(next(k for k in kids if self.val[k] != -c), c)
         return left > 0
 
-    def assert_units(self) -> bool:
-        """Assert the root and the blocking gates; False on conflict."""
-        n, kids, units = len(self.val), self.kids, [self._root]
+    def assert_units(self, events: Sequence[int] = ()) -> bool:
+        """Assert the root, the blocking gates and ``events`` (signed
+        variables: positive true, negative false); False on conflict."""
+        n, kids, units = len(self.val), self.kids, [self._root, *events]
         for g in range(n - self._blocking, n):
             # One event's blocking gate is a unit clause: assert the event.
             units += [-g, -kids[g][0]] if len(kids[g]) == 1 else [-g]
@@ -253,6 +255,33 @@ def _residual_bound(instance: WcnfInstance, val: Sequence[int],
     return bound
 
 
+def _update_table(instance: WcnfInstance, bound: list[float], lits: Iterable[int],
+                  val: Sequence[int], log: Optional[list] = None, cost: float = 0.0) -> float:
+    """Bring a ``_residual_bound`` table up to date with the trail
+    literals ``lits``, assigned since it was last current: set their
+    variables' entries (a true event costs 0, a false variable is
+    ``inf``; a true gate's entry still comes from its children) and
+    ``_settle`` their ancestors with the full pass's own expressions, so
+    the floats are those a full pass over ``val`` would compute.  Returns
+    ``cost`` plus the entries zeroed by events turning true; each change
+    goes to ``log`` as ``_settle`` logs it."""
+    ctl, changed = instance.ctl, []
+    for lit in lits:
+        v = abs(lit)
+        if lit > 0 and ctl[v]:
+            continue  # a true gate's entry comes from its children
+        new = 0.0 if lit > 0 else math.inf
+        if bound[v] != new:
+            if lit > 0:
+                cost += bound[v]
+            if log is not None:
+                log.append((v, bound[v]))
+            bound[v] = new
+            changed.append(v)
+    _settle(bound, changed, instance, math.fsum if instance.tree_shaped else max, min, val, log)
+    return cost
+
+
 class _BoundTable:
     """A node's cost and a copy of a root ``_residual_bound`` table, kept
     current on one search's trail; ``cost + bound[top]`` bounds every
@@ -261,11 +290,8 @@ class _BoundTable:
     ``cost`` starts from the root's cost (the weight of the events true
     at the root, or the core pass's ``lb``) and adds the entries zeroed
     by events turning true: their weight in the table's own weights.
-    ``update`` follows a clean propagate: it sets the entries of the
-    variables the newest decision level assigned (a true event costs 0,
-    a false variable is ``inf``; a true gate's entry still comes from its
-    children) and ``_settle``s their ancestors with the full pass's own
-    expressions, so the floats are those a full pass would compute.
+    ``update`` follows a clean propagate: it brings the table up to date
+    with the newest decision level's trail entries (``_update_table``).
     ``undo(level)`` restores the entries logged since that level, and
     the cost recorded there, bit for bit, as ``Propagator.backtrack``
     does for values; a level whose propagate conflicted was never
@@ -276,27 +302,14 @@ class _BoundTable:
         self.bound = list(bound)
         self.cost = cost
         self._instance = instance
-        self._combine = math.fsum if instance.tree_shaped else max
         self._log: list[tuple[int, float]] = []  # (variable, entry before)
         self._marks: list[tuple[int, float]] = []  # (log length, cost) per level
 
     def update(self, prop: Propagator) -> None:
         """Bring the table up to date with the newest decision level."""
-        ctl, bound, log = prop.ctl, self.bound, self._log
-        self._marks.append((len(log), self.cost))
-        changed = []
-        for lit in prop.trail[prop.level_starts[-1]:]:
-            v = abs(lit)
-            if lit > 0 and ctl[v]:
-                continue  # a true gate's entry comes from its children
-            new = 0.0 if lit > 0 else math.inf
-            if bound[v] != new:
-                if lit > 0:
-                    self.cost += bound[v]
-                log.append((v, bound[v]))
-                bound[v] = new
-                changed.append(v)
-        _settle(bound, changed, self._instance, self._combine, min, prop.val, log)
+        self._marks.append((len(self._log), self.cost))
+        self.cost = _update_table(self._instance, self.bound, prop.trail[prop.level_starts[-1]:],
+                                  prop.val, self._log, self.cost)
 
     def undo(self, level: int) -> None:
         """Restore the entries and the cost of every level beyond ``level``."""

@@ -91,18 +91,19 @@ def _cmd_solve(args) -> int:
         configs = [c for c in configs if c.strategy.value == args.strategy]
 
     if args.all_optima:
-        proven = True
+        proven, incumbent = True, None
         try:
             optima = enumerate_optima(instance, weights, configs)
         except OptimaTimeoutError as exc:
-            optima, proven = exc.optima, False
-        if not optima:
+            optima, proven, incumbent = exc.optima, False, exc.incumbent
+        # With no optimum proven, the first solve's incumbent is reported.
+        first = optima[0] if optima else incumbent
+        if first is None:
             print("error: no optimum proven within budget", file=sys.stderr)
             return EXIT_BUDGET
-        first = optima[0]
         report = _report(
             instance, first, proven, first.solver_id,
-            sum(r.elapsed for r in optima),
+            sum(r.elapsed for r in optima) if optima else first.elapsed,
         )
         report["optima"] = [
             {

@@ -37,7 +37,8 @@ from itertools import count
 from typing import Optional, Sequence
 
 from .circuit import (Propagator, _BoundTable, _cheapest_events, _cores, _exact_weight,
-                      _meets_hard, _residual_bound, _sweep, complete_assignment)
+                      _meets_hard, _residual_bound, _sweep, _update_table,
+                      complete_assignment)
 from .encoding import WcnfInstance, WeightMap, build_wcnf, event_weights, joint_probability
 from .fault_tree import FaultTree
 
@@ -59,13 +60,17 @@ class InconsistencyError(RuntimeError):
 
 
 class OptimaTimeoutError(TimeoutError):
-    """A re-solve ran out of budget; carries the optima proven before it."""
+    """A solve ran out of budget; carries the optima proven before it and,
+    when the first solve ran out, its best cut set so far (``incumbent``,
+    unproven, None when there is none)."""
 
-    def __init__(self, optima: Sequence["MpmcsResult"]):
+    def __init__(self, optima: Sequence["MpmcsResult"],
+                 incumbent: Optional["MpmcsResult"] = None):
         super().__init__(
             f"budget exhausted after {len(optima)} proven optima; more may exist"
         )
         self.optima = list(optima)
+        self.incumbent = incumbent
 
 
 class PortfolioError(RuntimeError):
@@ -139,9 +144,10 @@ class Solution:
     ``assignment`` maps variable index to +1/-1 (index 0 unused).
     ``weight`` is the falsified-soft total, recomputed exactly from the
     assignment.  The assignment is None when the solve found no model:
-    proven, no model within the cutoff is left (only blocking gates can
-    rule every model out), and ``weight`` is that cutoff, inf when there
-    is none; unproven, a budget ran out before any incumbent existed.
+    proven, no model within the cutoff is left (only the cutoff, blocking
+    gates or an enumeration sub-root's event units can rule every model
+    out), and ``weight`` is that cutoff, inf when there is none;
+    unproven, a budget ran out before any incumbent existed.
     """
 
     assignment: Optional[tuple[int, ...]]
@@ -183,7 +189,7 @@ class _Root:
     Budgets and ``SearchStats.elapsed`` count from ``start``."""
 
     instance: WcnfInstance
-    prop: Propagator  # root and blocking gates asserted and propagated
+    prop: Propagator  # root, blocking gates and units asserted and propagated
     tables: tuple[tuple[float, list[float]], ...]
     warm: Optional[tuple[int, ...]]  # the warm start, unless blocked or too heavy
     warm_w: float  # its weight, else the cutoff (inf when there is none)
@@ -193,7 +199,8 @@ class _Root:
 
 
 def _root(instance: WcnfInstance, time_budget: float = math.inf,
-          cutoff: float = math.inf, floor: float = -math.inf) -> _Root:
+          cutoff: float = math.inf, floor: float = -math.inf,
+          units: Sequence[int] = (), base: Optional[_Root] = None) -> _Root:
     """Set up a solve: propagate the root and walk the weights' table to
     a warm start, optimal on trees, so those prove with no decisions (and
     their table, exact, is never weaker than the core pass's bound).
@@ -207,14 +214,29 @@ def _root(instance: WcnfInstance, time_budget: float = math.inf,
     Only a model no heavier than ``cutoff`` is wanted: a heavier warm
     start is dropped, and the cutoff stands as the incumbent's weight.
     ``floor`` is a lower bound on every model's weight known from
-    elsewhere (see ``enumerate_optima``)."""
+    elsewhere (see ``enumerate_optima``).
+
+    ``units`` are event literals (signed variables) asserted with the
+    root: the solve covers only the models that hold them, and both warm
+    starts hold the true ones, which the walk and the sweep can skip.
+    ``base``, a root of the same instance with no units, makes this a
+    sub-root: a fork of its propagator with just the units asserted, and
+    its weights' table brought up to date from the trail entries they
+    add, the floats a full pass would compute."""
     start = time.perf_counter()
-    prop = Propagator(instance)
-    if not prop.assert_units():  # the blocked units conflict: no model at all
+    prop = Propagator(instance) if base is None else base.prop.fork()
+    mark = len(prop.trail)
+    if not prop.assert_units(units):  # the units conflict: no model at all
         return _Root(instance, prop, (), None, cutoff, start, math.inf, floor)
     val, weight, top = prop.val, instance.weight, instance.var_map.root_var
-    cost, bound = _exact_weight(val, instance), _residual_bound(instance, val, weight)
-    walked = complete_assignment(instance, _cheapest_events(instance, bound))
+    cost = _exact_weight(val, instance)
+    if base is None:
+        bound = _residual_bound(instance, val, weight)
+    else:
+        bound = list(base.tables[0][1])
+        _update_table(instance, bound, prop.trail[mark:], val)
+    held = [instance.var_map.event_of_var[u] for u in units if u > 0]
+    walked = complete_assignment(instance, _cheapest_events(instance, bound) + held)
     # Blocking gates over several events can rule the walked set out.
     warm = walked if _meets_hard(instance, walked) else None
     warm_w = math.inf if warm is None else _exact_weight(warm, instance)
@@ -228,7 +250,7 @@ def _root(instance: WcnfInstance, time_budget: float = math.inf,
             var_of = instance.var_map.var_of_event
             cut = _sweep(instance, complete_assignment(instance, zero),
                          lambda e: weight[var_of[e]])
-            swept = complete_assignment(instance, cut)
+            swept = complete_assignment(instance, [*cut, *held])
             swept_w = _exact_weight(swept, instance)
             if _meets_hard(instance, swept) and swept_w < warm_w:
                 warm, warm_w = swept, swept_w
@@ -539,29 +561,56 @@ def enumerate_optima(instance: WcnfInstance, weights: WeightMap,
                      configs: Sequence[SolverConfig]) -> list[MpmcsResult]:
     """All cut sets tied (within ``TIE_REL_TOL``) for the optimal weight.
 
-    Each optimum found is blocked with a blocking gate and the instance is
-    re-solved until no tie is left.  Blocking only removes models, so the
-    first optimum's weight w* bounds every later one from below: each
-    re-solve wants only a model within the tie cutoff, so its search
-    starts from the cutoff as its incumbent's weight, and it stops, proven,
-    at the first model as light as w*.  A re-solve that proves no model
-    within the cutoff is left, a proven solution with no assignment, ends
-    the enumeration.  Results come back in discovery order.  Raises
-    ``OptimaTimeoutError``, carrying the optima found so far, if any solve
-    ends unproven.
+    The first solve finds an optimum of weight w*; a tie is a minimal
+    cut set no heavier than the tie cutoff, w* plus the tolerance.  The
+    rest split the first root's models on each model found (Lawler's
+    partition).  A sub-problem holds the models with some event units U.
+    Once its solve finds a model M, let m1..mk be M's true events not
+    already true under U: the sub-problems U + (m1..m(i-1) true) +
+    (mi false), for i = 1..k, hold every model of U but M's supersets,
+    each in exactly one of them.  A tie D in U is either a superset of
+    M, and then, being minimal, M's swept cut set, or it lies in the
+    sub-problem of the first mi not in D.  A sub-problem that holds a tie
+    has a model within the cutoff, so its solve finds one; each split
+    adds a unit, so every branch ends, at a solve that proves no model
+    within the cutoff is left.  So every tie is found.
+
+    Each sub-problem is a sub-root of the first root (see ``_root``),
+    raced with the cutoff as its incumbent's weight and w* as its floor,
+    so it stops, proven, at the first model as light as w*.  On trees
+    every sub-root closes at its root.  A model may carry a true unit
+    lighter than the tolerance, so that its swept cut set lies in
+    another leaf too: results are deduplicated on the cut set.  They
+    come back with the first optimum first, then in the split's
+    depth-first order.  Raises ``OptimaTimeoutError``, carrying the
+    optima found so far, if any solve ends unproven; if the first one
+    does, the error carries its incumbent instead.
     """
     budget = _budget(configs)
     results: list[MpmcsResult] = []
-    current, cutoff, floor = instance, math.inf, -math.inf
-    while True:
-        sol = _race(_root(current, budget, cutoff, floor), configs)
+    seen: set[frozenset[str]] = set()
+    events = sorted(instance.var_map.event_of_var)
+    first, cutoff, floor = None, math.inf, -math.inf
+    pending: list[tuple[int, ...]] = [()]  # each sub-problem's units; the next is last
+    while pending:
+        units = pending.pop()
+        root = _root(instance, budget, cutoff, floor, units, first)
+        first = first or root
+        sol = _race(root, configs)
         if not sol.proven:
-            raise OptimaTimeoutError(results)
+            incumbent = None
+            if not results and sol.assignment is not None:
+                incumbent = extract_mpmcs(sol, instance, weights)
+            raise OptimaTimeoutError(results, incumbent)
         if sol.assignment is None:
-            return results
-        res = extract_mpmcs(sol, current, weights)
-        results.append(res)
-        if len(results) == 1:
+            continue
+        res = extract_mpmcs(sol, instance, weights)
+        if not results:
             floor = res.log_weight
             cutoff = floor + max(TIE_REL_TOL, TIE_REL_TOL * abs(floor))
-        current = add_blocking_clause(current, res.cut_set)
+        if res.cut_set not in seen:
+            seen.add(res.cut_set)
+            results.append(res)
+        free = [v for v in events if sol.assignment[v] > 0 and root.prop.val[v] <= 0]
+        pending += [units + tuple(free[:i]) + (-free[i],) for i in reversed(range(len(free)))]
+    return results

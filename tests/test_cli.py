@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import tree
+from helpers import seeded_dag, tree
 from mpmcs import cli, solver
 from mpmcs.cli import build_parser, main
 from mpmcs.encoding import WcnfInstance, format_wcnf
@@ -102,6 +102,22 @@ def test_solve_all_optima_unproven_resolve_reports_partial(capsys, tmp_path, mon
     assert report["proven"] is False
     assert len(report["optima"]) == 1
     assert report["cut_set"] == report["optima"][0]["cut_set"]
+
+
+def test_solve_all_optima_first_solve_unproven_reports_its_incumbent(capsys, tmp_path):
+    """The first solve's search on this open-root DAG outlasts the budget:
+    the report is its unproven incumbent, as plain ``solve`` reports it,
+    with no optima, and the exit code says the budget ran out."""
+    path = write_tree(tmp_path / "dag.json", seeded_dag(1000, 2.0, 1))
+    code, out, _ = run_cli(capsys, "solve", path, "--all-optima", "--timeout", "0.001")
+    assert code == 2
+    report = json.loads(out)
+    assert report["proven"] is False
+    assert report["cut_set"] and report["log_weight"] > 0.0
+    assert report["optima"] == []
+    code, out, _ = run_cli(capsys, "solve", path, "--timeout", "0.001")
+    assert code == 2
+    assert set(report) - {"optima"} == set(json.loads(out))
 
 
 def test_solve_budget_exhausted_still_reports(capsys, tmp_path):

@@ -1417,28 +1417,88 @@ def _tied(draw, trees) -> FaultTree:
     }, t.top)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(
+_TIED_INSTANCES = st.one_of(
     st.builds(tie_tree, st.integers(2, 60), st.integers(0, 10**4)),
     _tied(strategies.dags()),
     _tied(st.builds(seeded_dag, st.integers(2, 40), st.sampled_from((0.3, 1.0)),
                     st.integers(0, 10**4))),
-))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TIED_INSTANCES)
 def test_enumerate_optima_matches_the_blocking_loop(t):
-    """Re-solves bounded by the tie cutoff, stopping at the first
-    optimum's weight, find the optima the plain blocking loop finds, in
-    the same order."""
+    """Sub-roots bounded by the tie cutoff, stopping at the first
+    optimum's weight, find the optima the plain blocking loop finds: the
+    same first one, and the same set, each once.  The rest come in the
+    split's order, not the loop's."""
     instance, weights = build_wcnf(t), event_weights(t)
-    got = enumerate_optima(instance, weights, [SolverConfig()])
-    want = reference_enumerate_optima(instance, weights)
-    assert [(r.cut_set, r.log_weight) for r in got] == [
-        (r.cut_set, r.log_weight) for r in want
-    ]
+    got = [(r.cut_set, r.log_weight) for r in enumerate_optima(instance, weights,
+                                                               [SolverConfig()])]
+    want = [(r.cut_set, r.log_weight) for r in reference_enumerate_optima(instance, weights)]
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    assert set(got) == set(want)
+
+
+def _root_state(root, n=None):
+    """A root's values, tables, warm start, its weight and lower bound,
+    over its first ``n`` variables."""
+    return (root.prop.val[:n], [(cost, entries[:n]) for cost, entries in root.tables],
+            None if root.warm is None else root.warm[:n], root.warm_w, root.lower)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TIED_INSTANCES, st.data())
+def test_sub_roots_equal_full_passes(t, data):
+    """A sub-root, forked from the first root with random event units
+    asserted, has the tables a full pass over its own values computes,
+    the weights' table's cost by ``fsum``, and all of a fresh root with
+    the same units: values, tables, warm start, its weight and the lower
+    bound; units that conflict leave both with no tables.  Its warm
+    start holds the units.  With false units only, it is the root of the
+    instance with those events blocked."""
+    instance = build_wcnf(t)
+    events = sorted(instance.var_map.event_of_var)
+    chosen = data.draw(st.lists(st.sampled_from(events), unique=True, max_size=6))
+    units = tuple(v if data.draw(st.booleans(), label=f"true {v}") else -v for v in chosen)
+    first = solver._root(instance)
+    sub = solver._root(instance, units=units, base=first)
+    fresh = solver._root(instance, units=units)
+    assert bool(sub.tables) == bool(fresh.tables)
+    if not sub.tables:  # the units conflict
+        return
+    assert _root_state(sub) == _root_state(fresh)
+    val = sub.prop.val
+    cost, entries = sub.tables[0]
+    assert entries == _residual_bound(instance, val, instance.weight)
+    assert cost == solver._exact_weight(val, instance)
+    if sub.warm is not None:
+        assert all((sub.warm[abs(u)] > 0) == (u > 0) for u in units)
+    if all(u < 0 for u in units):
+        blocked = instance
+        for u in units:
+            blocked = add_blocking_clause(blocked, frozenset({instance.var_map.event_of_var[-u]}))
+        assert _root_state(sub) == _root_state(solver._root(blocked), len(instance.ctl))
+
+
+def test_sub_root_warm_start_holds_a_unit_the_walk_skips():
+    """With b true, the cheapest way to the top is still a, so the walk
+    over the table skips b, whose entry is 0; the warm start holds it."""
+    t = tree({"top": ("or", ["a", "g"]), "g": ("and", ["b", "c"]),
+              "a": 0.5, "b": 0.9, "c": 0.1}, top="top")
+    instance, weights = build_wcnf(t), event_weights(t)
+    b = instance.var_map.var_of_event["b"]
+    first = solver._root(instance)
+    sub = solver._root(instance, units=(b,), base=first)
+    assert solver._cheapest_events(instance, sub.tables[0][1]) == ["a"]
+    assert {e for e, v in instance.var_map.var_of_event.items() if sub.warm[v] > 0} == {"a", "b"}
+    assert sub.warm_w == math.fsum([weights["a"], weights["b"]]) == sub.lower
 
 
 @pytest.mark.parametrize("nodes, seed, optima, decisions, blocking_decisions", [
-    (60, 1, 80, 5_037, 24_274),
-    (100, 2, 3, 147, 410),
+    (60, 1, 80, 0, 24_274),
+    (100, 2, 3, 0, 410),
 ], ids=["ties-60-1", "ties-100-2"])
 def test_enumerate_optima_decisions_are_frozen(nodes, seed, optima, decisions,
                                                blocking_decisions, monkeypatch):
@@ -1460,6 +1520,19 @@ def test_enumerate_optima_decisions_are_frozen(nodes, seed, optima, decisions,
     counted.clear()
     assert len(reference_enumerate_optima(instance, weights)) == optima
     assert sum(counted) == blocking_decisions
+
+
+@pytest.mark.parametrize("nodes, seed, optima", [(60, 1, 80), (100, 2, 3)],
+                         ids=["ties-60-1", "ties-100-2"])
+def test_enumerate_optima_on_trees_starts_no_race(nodes, seed, optima, monkeypatch):
+    """Tie trees whose optima span several events: on a tree the weights'
+    table is exact, so every sub-root closes at its root, with no search
+    and no thread."""
+    monkeypatch.setattr(threading, "Thread", _refuse)
+    t = tie_tree(nodes, seed)
+    got = enumerate_optima(build_wcnf(t), event_weights(t), default_portfolio())
+    assert len(got) == optima
+    assert any(len(r.cut_set) > 1 for r in got)
 
 
 def test_compute_mpmcs_end_to_end(fire_tree):
