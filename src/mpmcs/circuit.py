@@ -255,33 +255,6 @@ def _residual_bound(instance: WcnfInstance, val: Sequence[int],
     return bound
 
 
-def _update_table(instance: WcnfInstance, bound: list[float], lits: Iterable[int],
-                  val: Sequence[int], log: Optional[list] = None, cost: float = 0.0) -> float:
-    """Bring a ``_residual_bound`` table up to date with the trail
-    literals ``lits``, assigned since it was last current: set their
-    variables' entries (a true event costs 0, a false variable is
-    ``inf``; a true gate's entry still comes from its children) and
-    ``_settle`` their ancestors with the full pass's own expressions, so
-    the floats are those a full pass over ``val`` would compute.  Returns
-    ``cost`` plus the entries zeroed by events turning true; each change
-    goes to ``log`` as ``_settle`` logs it."""
-    ctl, changed = instance.ctl, []
-    for lit in lits:
-        v = abs(lit)
-        if lit > 0 and ctl[v]:
-            continue  # a true gate's entry comes from its children
-        new = 0.0 if lit > 0 else math.inf
-        if bound[v] != new:
-            if lit > 0:
-                cost += bound[v]
-            if log is not None:
-                log.append((v, bound[v]))
-            bound[v] = new
-            changed.append(v)
-    _settle(bound, changed, instance, math.fsum if instance.tree_shaped else max, min, val, log)
-    return cost
-
-
 class _BoundTable:
     """A node's cost and a copy of a root ``_residual_bound`` table, kept
     current on one search's trail; ``cost + bound[top]`` bounds every
@@ -290,8 +263,11 @@ class _BoundTable:
     ``cost`` starts from the root's cost (the weight of the events true
     at the root, or the core pass's ``lb``) and adds the entries zeroed
     by events turning true: their weight in the table's own weights.
-    ``update`` follows a clean propagate: it brings the table up to date
-    with the newest decision level's trail entries (``_update_table``).
+    ``update`` follows a clean propagate: it sets the entries of the
+    variables the newest decision level assigned (a true event costs 0,
+    a false variable is ``inf``; a true gate's entry still comes from its
+    children) and ``_settle``s their ancestors with the full pass's own
+    expressions, so the floats are those a full pass would compute.
     ``undo(level)`` restores the entries logged since that level, and
     the cost recorded there, bit for bit, as ``Propagator.backtrack``
     does for values; a level whose propagate conflicted was never
@@ -302,14 +278,27 @@ class _BoundTable:
         self.bound = list(bound)
         self.cost = cost
         self._instance = instance
+        self._combine = math.fsum if instance.tree_shaped else max
         self._log: list[tuple[int, float]] = []  # (variable, entry before)
         self._marks: list[tuple[int, float]] = []  # (log length, cost) per level
 
     def update(self, prop: Propagator) -> None:
         """Bring the table up to date with the newest decision level."""
-        self._marks.append((len(self._log), self.cost))
-        self.cost = _update_table(self._instance, self.bound, prop.trail[prop.level_starts[-1]:],
-                                  prop.val, self._log, self.cost)
+        ctl, bound, log = prop.ctl, self.bound, self._log
+        self._marks.append((len(log), self.cost))
+        changed = []
+        for lit in prop.trail[prop.level_starts[-1]:]:
+            v = abs(lit)
+            if lit > 0 and ctl[v]:
+                continue  # a true gate's entry comes from its children
+            new = 0.0 if lit > 0 else math.inf
+            if bound[v] != new:
+                if lit > 0:
+                    self.cost += bound[v]
+                log.append((v, bound[v]))
+                bound[v] = new
+                changed.append(v)
+        _settle(bound, changed, self._instance, self._combine, min, prop.val, log)
 
     def undo(self, level: int) -> None:
         """Restore the entries and the cost of every level beyond ``level``."""

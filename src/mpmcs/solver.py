@@ -37,8 +37,7 @@ from itertools import count
 from typing import Optional, Sequence
 
 from .circuit import (Propagator, _BoundTable, _cheapest_events, _cores, _exact_weight,
-                      _meets_hard, _residual_bound, _sweep, _update_table,
-                      complete_assignment)
+                      _meets_hard, _residual_bound, _sweep, complete_assignment)
 from .encoding import WcnfInstance, WeightMap, build_wcnf, event_weights, joint_probability
 from .fault_tree import FaultTree
 
@@ -200,7 +199,7 @@ class _Root:
 
 def _root(instance: WcnfInstance, time_budget: float = math.inf,
           cutoff: float = math.inf, floor: float = -math.inf,
-          units: Sequence[int] = (), base: Optional[_Root] = None) -> _Root:
+          units: Sequence[int] = ()) -> _Root:
     """Set up a solve: propagate the root and walk the weights' table to
     a warm start, optimal on trees, so those prove with no decisions (and
     their table, exact, is never weaker than the core pass's bound).
@@ -218,23 +217,13 @@ def _root(instance: WcnfInstance, time_budget: float = math.inf,
 
     ``units`` are event literals (signed variables) asserted with the
     root: the solve covers only the models that hold them, and both warm
-    starts hold the true ones, which the walk and the sweep can skip.
-    ``base``, a root of the same instance with no units, makes this a
-    sub-root: a fork of its propagator with just the units asserted, and
-    its weights' table brought up to date from the trail entries they
-    add, the floats a full pass would compute."""
+    starts hold the true ones, which the walk and the sweep can skip."""
     start = time.perf_counter()
-    prop = Propagator(instance) if base is None else base.prop.fork()
-    mark = len(prop.trail)
+    prop = Propagator(instance)
     if not prop.assert_units(units):  # the units conflict: no model at all
         return _Root(instance, prop, (), None, cutoff, start, math.inf, floor)
     val, weight, top = prop.val, instance.weight, instance.var_map.root_var
-    cost = _exact_weight(val, instance)
-    if base is None:
-        bound = _residual_bound(instance, val, weight)
-    else:
-        bound = list(base.tables[0][1])
-        _update_table(instance, bound, prop.trail[mark:], val)
+    cost, bound = _exact_weight(val, instance), _residual_bound(instance, val, weight)
     held = [instance.var_map.event_of_var[u] for u in units if u > 0]
     walked = complete_assignment(instance, _cheapest_events(instance, bound) + held)
     # Blocking gates over several events can rule the walked set out.
@@ -575,8 +564,8 @@ def enumerate_optima(instance: WcnfInstance, weights: WeightMap,
     adds a unit, so every branch ends, at a solve that proves no model
     within the cutoff is left.  So every tie is found.
 
-    Each sub-problem is a sub-root of the first root (see ``_root``),
-    raced with the cutoff as its incumbent's weight and w* as its floor,
+    Each sub-problem is a sub-root, a root with its units asserted
+    (``_root``'s ``units``), raced with the cutoff as its incumbent's weight and w* as its floor,
     so it stops, proven, at the first model as light as w*.  On trees
     every sub-root closes at its root.  A model may carry a true unit
     lighter than the tolerance, so that its swept cut set lies in
@@ -590,12 +579,11 @@ def enumerate_optima(instance: WcnfInstance, weights: WeightMap,
     results: list[MpmcsResult] = []
     seen: set[frozenset[str]] = set()
     events = sorted(instance.var_map.event_of_var)
-    first, cutoff, floor = None, math.inf, -math.inf
+    cutoff, floor = math.inf, -math.inf
     pending: list[tuple[int, ...]] = [()]  # each sub-problem's units; the next is last
     while pending:
         units = pending.pop()
-        root = _root(instance, budget, cutoff, floor, units, first)
-        first = first or root
+        root = _root(instance, budget, cutoff, floor, units)
         sol = _race(root, configs)
         if not sol.proven:
             incumbent = None

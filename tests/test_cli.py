@@ -7,11 +7,12 @@ import json
 import math
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
 
-from helpers import seeded_dag, tree
+from helpers import seeded_dag, tie_tree, tree
 from mpmcs import cli, solver
 from mpmcs.cli import build_parser, main
 from mpmcs.encoding import WcnfInstance, format_wcnf
@@ -118,6 +119,32 @@ def test_solve_all_optima_first_solve_unproven_reports_its_incumbent(capsys, tmp
     code, out, _ = run_cli(capsys, "solve", path, "--timeout", "0.001")
     assert code == 2
     assert set(report) - {"optima"} == set(json.loads(out))
+
+
+@pytest.mark.parametrize("t, extra, want_code", [
+    (tie_tree(60, 1), [], 0),
+    (seeded_dag(1000, 2.0, 1), ["--timeout", "0.001"], 2),
+], ids=["ties-60-1", "first-solve-unproven"])
+def test_solve_all_optima_elapsed_covers_the_enumeration(capsys, tmp_path, monkeypatch,
+                                                         t, extra, want_code):
+    """``elapsed_ms`` is at least the wall time of the whole enumeration,
+    its solves that list no optimum included, also when it runs out of
+    budget."""
+    walls = []
+    real = cli.enumerate_optima
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return real(*args, **kwargs)
+        finally:
+            walls.append(time.perf_counter() - start)
+
+    monkeypatch.setattr(cli, "enumerate_optima", timed)
+    path = write_tree(tmp_path / "t.json", t)
+    code, out, _ = run_cli(capsys, "solve", path, "--all-optima", *extra)
+    assert code == want_code
+    assert json.loads(out)["elapsed_ms"] >= walls[0] * 1000.0
 
 
 def test_solve_budget_exhausted_still_reports(capsys, tmp_path):

@@ -1450,29 +1450,19 @@ def _root_state(root, n=None):
 
 @settings(max_examples=100, deadline=None)
 @given(_TIED_INSTANCES, st.data())
-def test_sub_roots_equal_full_passes(t, data):
-    """A sub-root, forked from the first root with random event units
-    asserted, has the tables a full pass over its own values computes,
-    the weights' table's cost by ``fsum``, and all of a fresh root with
-    the same units: values, tables, warm start, its weight and the lower
-    bound; units that conflict leave both with no tables.  Its warm
-    start holds the units.  With false units only, it is the root of the
-    instance with those events blocked."""
+def test_root_units_hold_in_warm_starts(t, data):
+    """A root with random event units asserted has its warm start hold
+    the units; units that conflict leave it with no tables.  With false
+    units only, it is the root of the instance with those events
+    blocked: values, tables, warm start, its weight and the lower bound."""
     instance = build_wcnf(t)
     events = sorted(instance.var_map.event_of_var)
     chosen = data.draw(st.lists(st.sampled_from(events), unique=True, max_size=6))
     units = tuple(v if data.draw(st.booleans(), label=f"true {v}") else -v for v in chosen)
-    first = solver._root(instance)
-    sub = solver._root(instance, units=units, base=first)
-    fresh = solver._root(instance, units=units)
-    assert bool(sub.tables) == bool(fresh.tables)
+    sub = solver._root(instance, units=units)
     if not sub.tables:  # the units conflict
+        assert sub.warm is None and sub.lower == math.inf
         return
-    assert _root_state(sub) == _root_state(fresh)
-    val = sub.prop.val
-    cost, entries = sub.tables[0]
-    assert entries == _residual_bound(instance, val, instance.weight)
-    assert cost == solver._exact_weight(val, instance)
     if sub.warm is not None:
         assert all((sub.warm[abs(u)] > 0) == (u > 0) for u in units)
     if all(u < 0 for u in units):
@@ -1489,11 +1479,22 @@ def test_sub_root_warm_start_holds_a_unit_the_walk_skips():
               "a": 0.5, "b": 0.9, "c": 0.1}, top="top")
     instance, weights = build_wcnf(t), event_weights(t)
     b = instance.var_map.var_of_event["b"]
-    first = solver._root(instance)
-    sub = solver._root(instance, units=(b,), base=first)
+    sub = solver._root(instance, units=(b,))
     assert solver._cheapest_events(instance, sub.tables[0][1]) == ["a"]
     assert {e for e, v in instance.var_map.var_of_event.items() if sub.warm[v] > 0} == {"a", "b"}
     assert sub.warm_w == math.fsum([weights["a"], weights["b"]]) == sub.lower
+
+
+def test_swept_warm_start_holds_the_true_unit():
+    """On this shared-node DAG the core pass runs with e2, e5 or e6 true,
+    and its swept set, lighter than the walk, leaves the unit out: the
+    swept warm start must hold it too."""
+    instance = build_wcnf(seeded_dag(12, 0.3, 5))
+    for e in ("e2", "e5", "e6"):
+        v = instance.var_map.var_of_event[e]
+        root = solver._root(instance, units=(v,))
+        assert len(root.tables) == 2, e
+        assert root.warm[v] > 0, e
 
 
 @pytest.mark.parametrize("nodes, seed, optima, decisions, blocking_decisions", [
@@ -1503,7 +1504,10 @@ def test_sub_root_warm_start_holds_a_unit_the_walk_skips():
 def test_enumerate_optima_decisions_are_frozen(nodes, seed, optima, decisions,
                                                blocking_decisions, monkeypatch):
     """Branch and bound's decisions over a whole enumeration, against the
-    plain blocking loop's: a change to either must say so."""
+    plain blocking loop's: a change to either must say so.  These tie
+    trees have optima of several events; on a tree the weights' table is
+    exact, so every sub-root closes at its root and the portfolio starts
+    no thread."""
     counted = []
     search = solver._search
 
@@ -1515,24 +1519,16 @@ def test_enumerate_optima_decisions_are_frozen(nodes, seed, optima, decisions,
     monkeypatch.setattr(solver, "_search", counting)
     t = tie_tree(nodes, seed)
     instance, weights = build_wcnf(t), event_weights(t)
-    assert len(enumerate_optima(instance, weights, [SolverConfig()])) == optima
+    thread = threading.Thread
+    monkeypatch.setattr(threading, "Thread", _refuse)
+    got = enumerate_optima(instance, weights, default_portfolio())
+    monkeypatch.setattr(threading, "Thread", thread)
+    assert len(got) == optima
+    assert any(len(r.cut_set) > 1 for r in got)
     assert sum(counted) == decisions
     counted.clear()
     assert len(reference_enumerate_optima(instance, weights)) == optima
     assert sum(counted) == blocking_decisions
-
-
-@pytest.mark.parametrize("nodes, seed, optima", [(60, 1, 80), (100, 2, 3)],
-                         ids=["ties-60-1", "ties-100-2"])
-def test_enumerate_optima_on_trees_starts_no_race(nodes, seed, optima, monkeypatch):
-    """Tie trees whose optima span several events: on a tree the weights'
-    table is exact, so every sub-root closes at its root, with no search
-    and no thread."""
-    monkeypatch.setattr(threading, "Thread", _refuse)
-    t = tie_tree(nodes, seed)
-    got = enumerate_optima(build_wcnf(t), event_weights(t), default_portfolio())
-    assert len(got) == optima
-    assert any(len(r.cut_set) > 1 for r in got)
 
 
 def test_compute_mpmcs_end_to_end(fire_tree):
