@@ -243,8 +243,10 @@ def _residual_bound(instance: WcnfInstance, val: Sequence[int],
     the whole completion; on a tree it is exact.  ``weight`` is indexed
     by variable.
 
-    A solve runs this full pass only in ``_root``, once per table; each
-    search's ``_BoundTable`` keeps its copy current, bit for bit.
+    An instance runs this full pass for its weights' table once, in
+    ``_base``, and each solve once more for the core pass's table; every
+    root and search keeps a copy current with ``_BoundTable``, bit for
+    bit.
     """
     bound = [0.0 if x > 0 else math.inf if x < 0 else w for x, w in zip(val, weight)]
     combine = math.fsum if instance.tree_shaped else max
@@ -263,11 +265,13 @@ class _BoundTable:
     ``cost`` starts from the root's cost (the weight of the events true
     at the root, or the core pass's ``lb``) and adds the entries zeroed
     by events turning true: their weight in the table's own weights.
-    ``update`` follows a clean propagate: it sets the entries of the
-    variables the newest decision level assigned (a true event costs 0,
-    a false variable is ``inf``; a true gate's entry still comes from its
-    children) and ``_settle``s their ancestors with the full pass's own
-    expressions, so the floats are those a full pass would compute.
+    ``update`` follows a clean propagate: ``assign`` sets the entries of
+    the variables the newest decision level assigned (a true event costs
+    0, a false variable is ``inf``; a true gate's entry still comes from
+    its children) and ``_settle``s their ancestors with the full pass's
+    own expressions, so the floats are those a full pass would compute.
+    A root brings a copy of its base's table up to date with its units
+    the same way (see ``solver._root``).
     ``undo(level)`` restores the entries logged since that level, and
     the cost recorded there, bit for bit, as ``Propagator.backtrack``
     does for values; a level whose propagate conflicted was never
@@ -284,10 +288,15 @@ class _BoundTable:
 
     def update(self, prop: Propagator) -> None:
         """Bring the table up to date with the newest decision level."""
-        ctl, bound, log = prop.ctl, self.bound, self._log
-        self._marks.append((len(log), self.cost))
+        self._marks.append((len(self._log), self.cost))
+        self.assign(prop.trail[prop.level_starts[-1]:], prop.val)
+
+    def assign(self, lits: Iterable[int], val: Sequence[int]) -> None:
+        """Bring the table up to date with the trail entries ``lits``,
+        just assigned under ``val``, logging every entry it changes."""
+        ctl, bound, log = self._instance.ctl, self.bound, self._log
         changed = []
-        for lit in prop.trail[prop.level_starts[-1]:]:
+        for lit in lits:
             v = abs(lit)
             if lit > 0 and ctl[v]:
                 continue  # a true gate's entry comes from its children
@@ -298,7 +307,7 @@ class _BoundTable:
                 log.append((v, bound[v]))
                 bound[v] = new
                 changed.append(v)
-        _settle(bound, changed, self._instance, self._combine, min, prop.val, log)
+        _settle(bound, changed, self._instance, self._combine, min, val, log)
 
     def undo(self, level: int) -> None:
         """Restore the entries and the cost of every level beyond ``level``."""

@@ -193,13 +193,16 @@ WCNF_WEIGHT_SCALE = 10**6
 def format_wcnf(instance: WcnfInstance) -> str:
     """Render the instance in DIMACS WCNF text form.
 
-    Soft weights are scaled to integers by ``round(w * 10^6)``; the hard
-    weight ``top`` is the scaled soft total plus one.  Output is
-    deterministic byte for byte: the ``hard`` clauses in encoding order,
-    then one unit soft clause per event variable preferring it false.
+    Soft weights are scaled to integers by ``max(1, round(w * 10^6))``:
+    WCNF soft weights are positive, so an event with probability above
+    1 - 5e-7, whose weight rounds to 0, still weighs 1 and keeps its
+    preference to be false.  The hard weight ``top`` is the scaled soft
+    total plus one.  Output is deterministic byte for byte: the ``hard``
+    clauses in encoding order, then one unit soft clause per event
+    variable preferring it false.
     """
     hard = instance.hard
-    scaled = [(var, round(w * WCNF_WEIGHT_SCALE)) for var, w in instance.soft]
+    scaled = [(var, max(1, round(w * WCNF_WEIGHT_SCALE))) for var, w in instance.soft]
     top = sum(s for _, s in scaled) + 1
     num_clauses = len(hard.clauses) + len(scaled)
     lines = [f"p wcnf {hard.num_vars} {num_clauses} {top}"]

@@ -29,6 +29,10 @@ class CutSet:
 def enumerate_mcs(tree: FaultTree) -> list[CutSet]:
     """All minimal cut sets, most probable first (ties: lexicographic ids).
 
+    They are ranked by log weight, the ``fsum`` of the members' ``-ln p``,
+    not by ``probability``, so sets whose products underflow to 0.0 still
+    rank by how probable they are.
+
     Refuses trees with more than 20 basic events; the full 2^n sweep is
     the point, not a limitation to engineer around.
     """
@@ -39,6 +43,7 @@ def enumerate_mcs(tree: FaultTree) -> list[CutSet]:
             f"{n} basic events exceed the {MAX_ORACLE_EVENTS}-event oracle cap"
         )
     probs = tree.probabilities()
+    weight_of = event_weights(tree)
 
     satisfying: list[int] = []
     sat_lookup = set()
@@ -57,13 +62,13 @@ def enumerate_mcs(tree: FaultTree) -> list[CutSet]:
         ):
             minimal.append(mask)
 
-    cut_sets = []
+    ranked = []
     for mask in minimal:
-        members = frozenset(event_ids[i] for i in range(n) if mask >> i & 1)
-        probability = prod(probs[e] for e in sorted(members))
-        cut_sets.append(CutSet(events=members, probability=probability))
-    cut_sets.sort(key=lambda cs: (-cs.probability, tuple(sorted(cs.events))))
-    return cut_sets
+        members = [event_ids[i] for i in range(n) if mask >> i & 1]
+        cut = CutSet(events=frozenset(members), probability=prod(probs[e] for e in members))
+        ranked.append((fsum(weight_of[e] for e in members), members, cut))
+    ranked.sort(key=lambda r: r[:2])
+    return [cut for _, _, cut in ranked]
 
 
 def oracle_mpmcs(tree: FaultTree) -> MpmcsResult:

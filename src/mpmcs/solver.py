@@ -9,14 +9,15 @@ only in the order in which open nodes leave the frontier:
 * best first: least cost plus lower bound first (A*), so the incumbent
   is proven once no open node's bound can beat it.
 
-Every solve sets up its root once: the hard units propagated, the root
-bound table and warm start and, on shared-node instances whose root that
-table leaves open, the core pass's bound, table and warm start (see
-``circuit``).  A root whose bound reaches the warm start's weight is
-proven there, with no search and no thread.  Otherwise a portfolio
-races several configurations, each from its own fork of that one
-root; the first proven-optimal finisher wins and the rest are
-cancelled cooperatively through a flag they poll at every decision.
+Every solve sets up its root once: its instance's base (the hard units
+propagated and the root bound table) plus its event units, the warm
+start and, on shared-node instances whose root that table leaves open,
+the core pass's bound, table and warm start (see ``circuit``).  A root
+whose bound reaches the warm start's weight is proven there, with no
+search and no thread.  Otherwise a portfolio races several
+configurations, each from its own fork of that one root; the first
+proven-optimal finisher wins and the rest are cancelled cooperatively
+through a flag they poll at every decision.
 
 Weight bookkeeping: search-time costs accumulate incrementally, but any
 weight that leaves this module is recomputed with ``math.fsum`` over the
@@ -33,8 +34,8 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import count
-from typing import Optional, Sequence
+from itertools import chain, count
+from typing import NamedTuple, Optional, Sequence
 
 from .circuit import (Propagator, _BoundTable, _cheapest_events, _cores, _exact_weight,
                       _meets_hard, _residual_bound, _sweep, complete_assignment)
@@ -147,6 +148,8 @@ class Solution:
     gates or an enumeration sub-root's event units can rule every model
     out), and ``weight`` is that cutoff, inf when there is none;
     unproven, a budget ran out before any incumbent existed.
+    ``workers`` holds one report per member of a portfolio race, and is
+    empty when no race ran (a single strategy, or a closed root).
     """
 
     assignment: Optional[tuple[int, ...]]
@@ -179,13 +182,29 @@ def _prune_slack(incumbent: float) -> float:
     return PRUNE_EPS * abs(incumbent)
 
 
+class _Base(NamedTuple):
+    """An instance's root with no event units, shared by its roots: the
+    hard units propagated and the weights' table from the one full
+    ``_residual_bound`` pass (None when the hard units conflict)."""
+
+    prop: Propagator
+    bound: Optional[list[float]]
+
+
+def _base(instance: WcnfInstance) -> _Base:
+    prop = Propagator(instance)
+    ok = prop.assert_units()
+    return _Base(prop, _residual_bound(instance, prop.val, instance.weight) if ok else None)
+
+
 @dataclass(frozen=True)
 class _Root:
-    """A solve's starting state, set up once and shared by its searches,
-    which fork ``prop`` and change nothing here.  Each of ``tables`` is a
-    ``(cost, entries)`` pair from which a search starts a ``_BoundTable``:
-    the weights' table, and the core pass's residual table when it ran.
-    Budgets and ``SearchStats.elapsed`` count from ``start``."""
+    """A solve's starting state: its base (``_Base``) plus its event
+    units, set up once and shared by its searches, which fork ``prop``
+    and change nothing here.  Each of ``tables`` is a ``(cost, entries)``
+    pair from which a search starts a ``_BoundTable``: the weights'
+    table, and the core pass's residual table when it ran.  Budgets and
+    ``SearchStats.elapsed`` count from ``start``."""
 
     instance: WcnfInstance
     prop: Propagator  # root, blocking gates and units asserted and propagated
@@ -195,57 +214,77 @@ class _Root:
     start: float
     lower: float  # the root's lower bound, as ``_search`` bounds a node
     floor: float  # known to bound every model from below: one this light is optimal
+    base: _Base  # what the root was set up from, to set up its instance's next roots
 
 
 def _root(instance: WcnfInstance, time_budget: float = math.inf,
           cutoff: float = math.inf, floor: float = -math.inf,
-          units: Sequence[int] = ()) -> _Root:
-    """Set up a solve: propagate the root and walk the weights' table to
-    a warm start, optimal on trees, so those prove with no decisions (and
-    their table, exact, is never weaker than the core pass's bound).
-    That table's cost is the weight of the events true at the root.
-    Under sharing, while the root is open, the core pass adds a second
-    table, whose cost is the pass's ``lb``, and a second warm start, its
-    zero-residual events swept to a minimal cut set.  The budget stops
-    only the core pass, so a search out of time still returns a warm
-    start; a pass cut short makes no second one.
+          units: Sequence[int] = (), base: Optional[_Base] = None) -> _Root:
+    """Set up a solve: ``base`` (built here when None) plus the event
+    ``units`` (signed variables), so that the solve covers only the
+    models that hold them.  The units are asserted on a fork of the
+    base's propagator, and a copy of its weights' table is brought up to
+    date from the new trail entries alone, as ``_BoundTable.update``
+    does; with no units the root shares both.  The table's cost, and a
+    warm start's weight, is the ``fsum`` of the weights of its true events.
+
+    Walk the table to a warm start, optimal on trees, so those prove
+    with no decisions (and their table, exact, is never weaker than the
+    core pass's bound).  Under sharing, while the root is open, the core
+    pass adds a second table, whose cost is the pass's ``lb``, and a
+    second warm start, its zero-residual events swept to a minimal cut
+    set.  Both warm starts hold the true units, which the walk and the
+    sweep can skip.  The budget stops only the core pass, so a search
+    out of time still returns a warm start; a pass cut short makes no
+    second one.
 
     Only a model no heavier than ``cutoff`` is wanted: a heavier warm
     start is dropped, and the cutoff stands as the incumbent's weight.
     ``floor`` is a lower bound on every model's weight known from
-    elsewhere (see ``enumerate_optima``).
-
-    ``units`` are event literals (signed variables) asserted with the
-    root: the solve covers only the models that hold them, and both warm
-    starts hold the true ones, which the walk and the sweep can skip."""
+    elsewhere (see ``enumerate_optima``)."""
     start = time.perf_counter()
-    prop = Propagator(instance)
-    if not prop.assert_units(units):  # the units conflict: no model at all
-        return _Root(instance, prop, (), None, cutoff, start, math.inf, floor)
-    val, weight, top = prop.val, instance.weight, instance.var_map.root_var
-    cost, bound = _exact_weight(val, instance), _residual_bound(instance, val, weight)
-    held = [instance.var_map.event_of_var[u] for u in units if u > 0]
-    walked = complete_assignment(instance, _cheapest_events(instance, bound) + held)
+    if base is None:
+        base = _base(instance)
+    prop, bound = base
+    if units and bound is not None:
+        prop = prop.fork()
+        mark = len(prop.trail)
+        if prop.assert_units(units):
+            table = _BoundTable(instance, 0.0, bound)
+            table.assign(prop.trail[mark:], prop.val)
+            bound = table.bound
+        else:
+            bound = None
+    if bound is None:  # the units conflict: no model at all
+        return _Root(instance, prop, (), None, cutoff, start, math.inf, floor, base)
+    weight, top = instance.weight, instance.var_map.root_var
+    var_of = instance.var_map.var_of_event
+
+    def weight_of(event: str) -> float:
+        return weight[var_of[event]]
+
+    cost = math.fsum(weight[v] for v in prop.trail if v > 0)
+    held = {instance.var_map.event_of_var[u] for u in units if u > 0}
+    walked = held.union(_cheapest_events(instance, bound))
+    warm = complete_assignment(instance, walked)
     # Blocking gates over several events can rule the walked set out.
-    warm = walked if _meets_hard(instance, walked) else None
-    warm_w = math.inf if warm is None else _exact_weight(warm, instance)
+    ok = _meets_hard(instance, warm)
+    warm, warm_w = (warm, math.fsum(map(weight_of, walked))) if ok else (None, math.inf)
     if warm_w > cutoff:
         warm, warm_w = None, cutoff
     target = warm_w - _prune_slack(warm_w)
     tables = [(cost, bound)]
     if not instance.tree_shaped and cost + bound[top] < target:
-        lb, residual, zero = _cores(instance, val, cost, target, start + time_budget)
+        lb, residual, zero = _cores(instance, prop.val, cost, target, start + time_budget)
         if zero is not None:
-            var_of = instance.var_map.var_of_event
-            cut = _sweep(instance, complete_assignment(instance, zero),
-                         lambda e: weight[var_of[e]])
-            swept = complete_assignment(instance, [*cut, *held])
-            swept_w = _exact_weight(swept, instance)
+            cut = held | _sweep(instance, complete_assignment(instance, zero), weight_of)
+            swept = complete_assignment(instance, cut)
+            swept_w = math.fsum(map(weight_of, cut))
             if _meets_hard(instance, swept) and swept_w < warm_w:
                 warm, warm_w = swept, swept_w
-        tables.append((lb, _residual_bound(instance, val, residual)))
+        tables.append((lb, _residual_bound(instance, prop.val, residual)))
     lower = max(c + entries[top] for c, entries in tables)
-    return _Root(instance, prop, tuple(tables), warm, warm_w, start, lower, floor)
+    return _Root(instance, prop, tuple(tables), warm, warm_w, start, lower, floor, base)
 
 
 def _closed(root: _Root, config: SolverConfig,
@@ -402,16 +441,17 @@ def solve_best_first(instance: WcnfInstance, config: SolverConfig,
 def solve_portfolio(instance: WcnfInstance, configs: Sequence[SolverConfig]) -> Solution:
     """Race all configurations on the root's gap; first proof wins.
 
-    The root is set up once.  A root that ``_closed`` settles leaves
-    nothing to race: each member exits at once with its outcome and no
-    thread starts.  Otherwise each worker searches its own fork of the
-    root in its ``config.strategy``'s order (see ``_search``), polling a
+    The root is set up once: the instance's base, with no units.  A
+    root that ``_closed`` settles leaves nothing to race: no thread
+    starts, and it returns one outcome with empty ``workers`` (see
+    ``_race``).  Otherwise each worker searches its own fork of the root
+    in its ``config.strategy``'s order (see ``_search``), polling a
     cancellation flag at every decision, so losers stop within a small
-    grace period once a winner proves.  A proof is a proven solution,
-    one with no model included (none is left).  If nobody proves anything
-    in budget, the best incumbent is returned unproven.  A member that
-    raises has failed; if every member fails, the portfolio raises,
-    aggregating the errors.
+    grace period once a winner proves; each reports in ``workers``.  A
+    proof is a proven solution, one with no model included (none is
+    left).  If nobody proves anything in budget, the best incumbent is
+    returned unproven.  A member that raises has failed; if every member
+    fails, the portfolio raises, aggregating the errors.
     """
     return _race(_root(instance, _budget(configs)), configs)
 
@@ -424,28 +464,32 @@ def _budget(configs: Sequence[SolverConfig]) -> float:
 
 
 def _race(root: _Root, configs: Sequence[SolverConfig]) -> Solution:
-    """``solve_portfolio`` from a root already set up."""
-    now = time.perf_counter()
+    """``solve_portfolio`` from a root already set up.  A root that
+    ``_closed`` settles returns one outcome, with no reports: that of the
+    first member whose budget holds, else the first member's, unproven."""
+    first = _closed(root, configs[0])
+    if first is not None:
+        rest = (_closed(root, cfg) for cfg in configs[1:])
+        return next((out for out in chain((first,), rest) if out.proven), first)
     # Per worker: its Solution or the exception it raised, and its exit time.
-    records: list = [(_closed(root, cfg), now) for cfg in configs]
-    if records[0][0] is None:  # the root leaves a gap: race on it
-        cancel = threading.Event()
+    records: list = [None] * len(configs)
+    cancel = threading.Event()
 
-        def work(i: int, cfg: SolverConfig) -> None:
-            try:
-                outcome = _search(root, cfg, cancel)
-                if outcome.proven:
-                    cancel.set()
-            except BaseException as exc:  # reported, not swallowed
-                outcome = exc
-            records[i] = (outcome, time.perf_counter())
+    def work(i: int, cfg: SolverConfig) -> None:
+        try:
+            outcome = _search(root, cfg, cancel)
+            if outcome.proven:
+                cancel.set()
+        except BaseException as exc:  # reported, not swallowed
+            outcome = exc
+        records[i] = (outcome, time.perf_counter())
 
-        threads = [threading.Thread(target=work, args=(i, cfg), daemon=True)
-                   for i, cfg in enumerate(configs)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    threads = [threading.Thread(target=work, args=(i, cfg), daemon=True)
+               for i, cfg in enumerate(configs)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
 
     solved = [out for out, _ in records if isinstance(out, Solution)]
     if not solved:
@@ -564,10 +608,11 @@ def enumerate_optima(instance: WcnfInstance, weights: WeightMap,
     adds a unit, so every branch ends, at a solve that proves no model
     within the cutoff is left.  So every tie is found.
 
-    Each sub-problem is a sub-root, a root with its units asserted
-    (``_root``'s ``units``), raced with the cutoff as its incumbent's weight and w* as its floor,
-    so it stops, proven, at the first model as light as w*.  On trees
-    every sub-root closes at its root.  A model may carry a true unit
+    Each sub-problem is a sub-root: the instance's one base (see
+    ``_root``) plus its units, raced with the cutoff as its incumbent's
+    weight and w* as its floor, so it stops, proven, at the first model
+    as light as w*.  On trees every sub-root closes at its root and
+    answers once, with no thread.  A model may carry a true unit
     lighter than the tolerance, so that its swept cut set lies in
     another leaf too: results are deduplicated on the cut set.  They
     come back with the first optimum first, then in the split's
@@ -579,11 +624,12 @@ def enumerate_optima(instance: WcnfInstance, weights: WeightMap,
     results: list[MpmcsResult] = []
     seen: set[frozenset[str]] = set()
     events = sorted(instance.var_map.event_of_var)
-    cutoff, floor = math.inf, -math.inf
+    cutoff, floor, base = math.inf, -math.inf, None
     pending: list[tuple[int, ...]] = [()]  # each sub-problem's units; the next is last
     while pending:
         units = pending.pop()
-        root = _root(instance, budget, cutoff, floor, units)
+        root = _root(instance, budget, cutoff, floor, units, base)
+        base = root.base
         sol = _race(root, configs)
         if not sol.proven:
             incumbent = None

@@ -46,6 +46,15 @@ def tree(spec: dict, top: str, name: str = "test") -> FaultTree:
     return FaultTree(name=name, nodes=nodes, top=top)
 
 
+def underflow_tree() -> FaultTree:
+    """OR(AND(a, b), AND(c, d)) with a = b = 1e-200 and c = d = 1e-190:
+    both cut sets' probability products underflow to 0.0, and {c, d},
+    of log weight 874.98 against 921.03, is the optimum."""
+    return tree({"top": ("or", ["g1", "g2"]), "g1": ("and", ["a", "b"]),
+                 "g2": ("and", ["c", "d"]), "a": 1e-200, "b": 1e-200,
+                 "c": 1e-190, "d": 1e-190}, top="top", name="underflow")
+
+
 def small_random_tree(seed: int, max_nodes: int = 13) -> FaultTree:
     """Seeded tree with at most ``max_nodes - 1`` basic events."""
     nodes = random.Random(seed).randint(1, max_nodes)
@@ -80,7 +89,16 @@ def tie_tree(nodes: int, seed: int) -> FaultTree:
     """``random_fault_tree(nodes, seed)`` with probabilities drawn from
     (0.1, 0.01), as the benchmark's ``all_optima`` workload draws them,
     so many cut sets tie."""
-    base = random_fault_tree(GeneratorParams(nodes=nodes, seed=seed))
+    return _tied(random_fault_tree(GeneratorParams(nodes=nodes, seed=seed)), seed)
+
+
+def tie_dag(nodes: int, share: float, seed: int) -> FaultTree:
+    """``seeded_dag(nodes, share, seed)`` with its probabilities drawn as
+    ``tie_tree`` draws them."""
+    return _tied(seeded_dag(nodes, share, seed), seed)
+
+
+def _tied(base: FaultTree, seed: int) -> FaultTree:
     rng = random.Random(f"ties:{seed}")
     nodes_out = {
         nid: BasicEvent(nid, rng.choice((0.1, 0.01))) if isinstance(node, BasicEvent) else node

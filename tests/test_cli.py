@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import seeded_dag, tie_tree, tree
+from helpers import seeded_dag, tie_tree, tree, underflow_tree
 from mpmcs import cli, solver
 from mpmcs.cli import build_parser, main
 from mpmcs.encoding import WcnfInstance, format_wcnf
@@ -245,6 +245,17 @@ def test_check_agrees_on_fire_tree(capsys, fire_path):
     report = json.loads(out)
     assert report["match"] is True
     assert report["cut_set"] == ["x1", "x2"]
+
+
+def test_check_agrees_when_probabilities_underflow(capsys, tmp_path):
+    """Both cut sets' products are 0.0; the reference ranks by log
+    weight, so it agrees with the solver's {c, d}."""
+    path = write_tree(tmp_path / "underflow.json", underflow_tree())
+    code, out, _ = run_cli(capsys, "check", path)
+    assert code == 0
+    report = json.loads(out)
+    assert report["match"] is True
+    assert report["cut_set"] == ["c", "d"]
 
 
 def test_check_reports_a_mismatch(capsys, fire_path, monkeypatch):

@@ -313,6 +313,20 @@ def test_format_wcnf_layout(fire_instance):
     assert text.endswith("\n")
 
 
+def test_format_wcnf_soft_weights_are_positive():
+    """An event so probable that its scaled weight rounds to 0 still
+    weighs 1, and ``top`` sums the clamped weights."""
+    instance = build_wcnf(tree({"top": ("or", ["a", "b"]), "a": 0.9999999, "b": 0.5},
+                               top="top"))
+    a, b = (instance.var_map.var_of_event[e] for e in "ab")
+    assert round(instance.weight[a] * WCNF_WEIGHT_SCALE) == 0
+    lines = format_wcnf(instance).splitlines()
+    soft = lines[-2:]
+    assert sorted(soft) == sorted([f"1 -{a} 0", f"693147 -{b} 0"])
+    assert lines[0].split()[-1] == str(1 + 693147 + 1)
+    assert not any(line.startswith("0 ") for line in lines)
+
+
 def test_format_wcnf_deterministic(fire_tree):
     a = format_wcnf(build_wcnf(fire_tree))
     b = format_wcnf(build_wcnf(fire_tree))

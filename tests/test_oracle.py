@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import strategies
-from helpers import is_minimal_cut, tree
+from helpers import is_minimal_cut, tree, underflow_tree
 from mpmcs.generator import GeneratorParams, random_fault_tree
 from mpmcs.oracle import MAX_ORACLE_EVENTS, enumerate_mcs, oracle_mpmcs
 
@@ -40,6 +40,17 @@ def test_ties_break_lexicographically():
     )
     got = enumerate_mcs(t)
     assert [sorted(cs.events) for cs in got] == [["a"], ["b"]]
+
+
+def test_ranks_by_log_weight_when_products_underflow():
+    """Both products are 0.0; the log weights still tell the sets apart."""
+    t = underflow_tree()
+    got = enumerate_mcs(t)
+    assert [sorted(cs.events) for cs in got] == [["c", "d"], ["a", "b"]]
+    assert [cs.probability for cs in got] == [0.0, 0.0]
+    res = oracle_mpmcs(t)
+    assert res.cut_set == frozenset({"c", "d"})
+    assert res.log_weight == pytest.approx(-2 * math.log(1e-190), rel=1e-12)
 
 
 def test_oracle_mpmcs_fields(fire_tree):

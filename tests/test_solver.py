@@ -997,8 +997,10 @@ def test_no_model_left_is_a_proven_solution(path, entry, monkeypatch):
     _assert_no_model(sol, instance, cutoff)
     assert (sol.stats.decisions > 0) == open_root
     assert sol.stats.elapsed > 0.0 and not sol.stats.cancelled
-    if entry == "portfolio":
+    if entry == "portfolio" and open_root:
         assert any(r.proven and r.weight == cutoff for r in sol.workers)
+    else:  # no race ran, so nothing reports on one
+        assert sol.workers == ()
     spent = _ENTRY_POINTS[entry](instance, 1e-9)
     assert (spent.proven, spent.assignment, spent.weight) == (False, None, cutoff)
 
@@ -1008,12 +1010,21 @@ def test_no_model_left_is_a_proven_solution(path, entry, monkeypatch):
 
 
 def test_portfolio_on_fire_tree(fire_instance, fire_weights):
+    """The fire tree closes at its root: one outcome, no race to report."""
     sol = solve_portfolio(fire_instance, default_portfolio())
-    assert sol.proven
-    assert len(sol.workers) == 2
-    assert {r.solver_id for r in sol.workers} == {"bnb-desc", "bestfirst-asc"}
+    assert sol.proven and sol.solver_id == "bnb-desc"
+    assert sol.workers == ()
     res = extract_mpmcs(sol, fire_instance, fire_weights)
     assert res.cut_set == frozenset({"x1", "x2"})
+
+
+def test_portfolio_reports_each_member_of_a_race():
+    """A race reports once per member, and the winner proved."""
+    instance = _tied_tree_second_solve()
+    assert solver._closed(solver._root(instance), SolverConfig()) is None
+    sol = solve_portfolio(instance, default_portfolio())
+    assert sol.proven
+    assert [r.solver_id for r in sol.workers] == ["bnb-desc", "bestfirst-asc"]
     winner = [r for r in sol.workers if r.solver_id == sol.solver_id]
     assert winner and winner[0].proven
 
@@ -1023,6 +1034,9 @@ def test_portfolio_single_config_passthrough(fire_instance):
     sol = solve_portfolio(fire_instance, [cfg])
     assert sol.proven
     assert sol.solver_id == "bestfirst-asc"
+    assert sol.workers == ()  # closed at the root
+    sol = solve_portfolio(_tied_tree_second_solve(), [cfg])
+    assert sol.proven and sol.solver_id == "bestfirst-asc"
     (report,) = sol.workers
     assert report.proven
     assert report.exit_after_winner is not None
@@ -1090,7 +1104,7 @@ def _refuse(*args, **kwargs):
 def test_portfolio_on_a_closed_root_starts_no_thread(make, monkeypatch):
     """A root whose bound reaches the warm start's weight leaves nothing
     to race: the portfolio returns what branch and bound alone returns,
-    with one proven report per member, and starts no thread."""
+    with no reports, and starts no thread."""
     instance = make()
     assert solver._closed(solver._root(instance), SolverConfig()) is not None
     want = solve_branch_and_bound(instance, SolverConfig())
@@ -1101,25 +1115,22 @@ def test_portfolio_on_a_closed_root_starts_no_thread(make, monkeypatch):
     assert (sol.assignment, sol.weight, sol.solver_id) == (
         want.assignment, want.weight, "bnb-desc"
     )
-    assert [(r.solver_id, r.proven, r.weight, r.exit_after_winner, r.within_grace)
-            for r in sol.workers] == [
-        ("bnb-desc", True, want.weight, 0.0, True),
-        ("bestfirst-asc", True, want.weight, 0.0, True),
-    ]
+    assert sol.workers == ()
 
 
 def test_closed_root_reports_the_first_member_whose_budget_holds(fire_instance, monkeypatch):
     """A member out of budget loses a closed root as it loses a race;
-    with every budget spent the warm start comes back unproven."""
+    with every budget spent the first member's warm start comes back
+    unproven.  Either way the one outcome carries no reports."""
     monkeypatch.setattr(threading, "Thread", _refuse)
     spent, held = SolverConfig(time_budget=1e-9), SolverConfig(Strategy.BEST_FIRST)
     sol = solve_portfolio(fire_instance, [spent, held])
     assert sol.proven and sol.solver_id == "bestfirst-desc"
-    assert [r.proven for r in sol.workers] == [False, True]
+    assert sol.workers == ()
     sol = solve_portfolio(fire_instance, [spent, spent])
     assert not sol.proven and sol.solver_id == "bnb-desc"
     assert sol.assignment == solver._root(fire_instance).warm
-    assert all(r.exit_after_winner is None for r in sol.workers)
+    assert sol.workers == ()
 
 
 def test_portfolio_all_errors_aggregate(monkeypatch):
@@ -1470,6 +1481,82 @@ def test_root_units_hold_in_warm_starts(t, data):
         for u in units:
             blocked = add_blocking_clause(blocked, frozenset({instance.var_map.event_of_var[-u]}))
         assert _root_state(sub) == _root_state(solver._root(blocked), len(instance.ctl))
+
+
+def _full_pass_root_state(instance, units=()):
+    """``_root_state`` of a root set up from scratch: a new propagator
+    with the hard units and ``units`` asserted at once, each table from
+    a full ``_residual_bound`` pass and each weight from ``_exact_weight``
+    over a whole assignment."""
+    prop = Propagator(instance)
+    if not prop.assert_units(units):
+        return prop.val, [], None, math.inf, math.inf
+    val, weight, top = prop.val, instance.weight, instance.var_map.root_var
+    var_of = instance.var_map.var_of_event
+    cost, bound = solver._exact_weight(val, instance), _residual_bound(instance, val, weight)
+    held = [instance.var_map.event_of_var[u] for u in units if u > 0]
+    warm = complete_assignment(instance, solver._cheapest_events(instance, bound) + held)
+    warm = warm if solver._meets_hard(instance, warm) else None
+    warm_w = math.inf if warm is None else solver._exact_weight(warm, instance)
+    tables = [(cost, bound)]
+    target = warm_w - solver._prune_slack(warm_w)
+    if not instance.tree_shaped and cost + bound[top] < target:
+        lb, residual, zero = solver._cores(instance, val, cost, target, math.inf)
+        if zero is not None:
+            cut = solver._sweep(instance, complete_assignment(instance, zero),
+                                lambda e: weight[var_of[e]])
+            swept = complete_assignment(instance, [*cut, *held])
+            swept_w = solver._exact_weight(swept, instance)
+            if solver._meets_hard(instance, swept) and swept_w < warm_w:
+                warm, warm_w = swept, swept_w
+        tables.append((lb, _residual_bound(instance, val, residual)))
+    return val, tables, warm, warm_w, max(c + entries[top] for c, entries in tables)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TIED_INSTANCES, st.data())
+def test_roots_from_one_base_equal_full_passes(t, data):
+    """Roots with random event units, each its instance's one base plus
+    its units, equal roots set up from scratch bit for bit: values,
+    tables, warm start, its weight and the lower bound.  Their weights'
+    tables are full passes over their own values, and the base is left
+    as it was set up."""
+    instance = build_wcnf(t)
+    events = sorted(instance.var_map.event_of_var)
+    base = solver._base(instance)
+    before = (base.prop.val[:], base.prop.trail[:], base.bound[:])
+    for k in range(3):
+        chosen = data.draw(st.lists(st.sampled_from(events), unique=True, max_size=6))
+        units = tuple(v if data.draw(st.booleans(), label=f"{k}: true {v}") else -v
+                      for v in chosen)
+        root = solver._root(instance, units=units, base=base)
+        got, want = _root_state(root), _full_pass_root_state(instance, units)
+        if not root.tables:  # the units conflict, leaving values half propagated
+            got, want = got[1:], want[1:]
+        assert got == want
+        if root.tables:
+            val = root.prop.val
+            assert root.tables[0] == (solver._exact_weight(val, instance),
+                                      _residual_bound(instance, val, instance.weight))
+        if root.warm is not None:
+            assert root.warm_w == solver._exact_weight(root.warm, instance)
+    assert (base.prop.val, base.prop.trail, base.bound) == before
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda n=n, s=s, k=k: seeded_dag(n, s, k)
+      for n, s, k in ((300, 0.1, 1), (300, 0.3, 1), (500, 0.2, 1), (700, 0.3, 4))),
+    *(lambda n=n, k=k: random_fault_tree(GeneratorParams(nodes=n, seed=k))
+      for n, k in ((10_000, 0), (20_000, 1))),
+], ids=["dag-300-0.1-1", "dag-300-0.3-1", "dag-500-0.2-1", "dag-700-0.3-4",
+        "tree-10000-0", "tree-20000-1"])
+def test_roots_with_no_units_equal_full_passes(make):
+    """Benchmark catalogue shapes: a root with no units shares its base
+    and equals a root set up from scratch bit for bit."""
+    instance = build_wcnf(make())
+    root = solver._root(instance)
+    assert root.prop is root.base.prop and root.tables[0][1] is root.base.bound
+    assert _root_state(root) == _full_pass_root_state(instance)
 
 
 def test_sub_root_warm_start_holds_a_unit_the_walk_skips():
